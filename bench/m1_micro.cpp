@@ -73,6 +73,22 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(1500);
 
+void BM_ComputeIcrc(benchmark::State& state) {
+  roce::RoceMessage msg;
+  msg.bth.opcode = roce::Opcode::kRdmaWriteOnly;
+  msg.reth = roce::Reth{0x1000, 0xaa, 1500};
+  msg.payload.assign(1500, 0x5a);
+  const net::Packet frame = roce::build_roce_packet(ep(1), ep(2), msg);
+  const auto covered = frame.bytes().first(frame.size() - roce::kIcrcBytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        roce::compute_icrc(covered, roce::RoceVersion::kV2));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(covered.size()));
+}
+BENCHMARK(BM_ComputeIcrc);
+
 void BM_InternetChecksum(benchmark::State& state) {
   const std::vector<std::uint8_t> data(1500, 0x44);
   for (auto _ : state) {

@@ -258,14 +258,15 @@ void LookupTablePrimitive::remote_lookup(PipelineContext& ctx,
 
     const roce::Psn psn = channel.post_read(
         va, static_cast<std::uint32_t>(config_.entry_bytes));
-    inflight_.emplace(ShardPsn{*shard, psn}, now);
+    inflight_.emplace(ShardPsn{*shard, psn}, Lookup{now, idx});
     ctx.consume();
   } else {
     // Recirculate variant: hold the original, fetch only the action and
     // the key-check word.
     const roce::Psn psn = channel.post_read(
         va, static_cast<std::uint32_t>(kLenOffset));
-    pending_.emplace(ShardPsn{*shard, psn}, Held{ctx.packet.clone(), now});
+    pending_.emplace(ShardPsn{*shard, psn},
+                     Held{ctx.packet.clone(), Lookup{now, idx}});
     if (pending_.size() > stats_.held_packets) {
       stats_.held_packets = pending_.size();
     }
@@ -284,7 +285,8 @@ void LookupTablePrimitive::handle_response(std::size_t shard,
       ++stats_.duplicate_responses;  // stale or duplicated delivery
       return;
     }
-    rto_[shard].sample(switch_->simulator().now() - it->second);
+    rto_[shard].sample(switch_->simulator().now() - it->second.sent_at);
+    const bool fill = it->second.fill;
     inflight_.erase(it);
     channels_.note_ok(shard);
     channels_.at(shard).trace_complete(msg.bth.psn);
@@ -296,7 +298,7 @@ void LookupTablePrimitive::handle_response(std::size_t shard,
         ++stats_.no_entry_drops;  // empty slot: no entry installed
         // The deposited frame is still in the entry's packet slot —
         // recover the key from it so the absence itself can be cached.
-        if (cache_.enabled() && config_.negative_ttl > 0) {
+        if (fill && cache_.enabled() && config_.negative_ttl > 0) {
           r.u64();  // key-check of an empty slot: zeros, skip
           const std::uint32_t len = r.u32();
           const auto frame = r.bytes(len);
@@ -319,7 +321,7 @@ void LookupTablePrimitive::handle_response(std::size_t shard,
         ++stats_.collision_drops;
         return;
       }
-      cache_store(*key, action, shard);
+      if (fill) cache_store(*key, action, shard);
       auto egress = apply_action(action, packet);
       if (egress) {
         switch_->inject(std::move(packet), *egress);
@@ -336,7 +338,9 @@ void LookupTablePrimitive::handle_response(std::size_t shard,
     ++stats_.duplicate_responses;  // stale or duplicated delivery
     return;
   }
-  rto_[shard].sample(switch_->simulator().now() - it->second.sent_at);
+  rto_[shard].sample(switch_->simulator().now() -
+                     it->second.lookup.sent_at);
+  const bool fill = it->second.lookup.fill;
   net::Packet packet = std::move(it->second.packet);
   pending_.erase(it);
   channels_.note_ok(shard);
@@ -348,7 +352,7 @@ void LookupTablePrimitive::handle_response(std::size_t shard,
     if (action.kind == Action::Kind::kNone) {
       ++stats_.no_entry_drops;  // empty slot: no entry installed
       // Recirc mode held the original packet, so the key is at hand.
-      if (auto key = config_.key_fn(packet)) {
+      if (auto key = config_.key_fn(packet); key && fill) {
         cache_store_negative(*key, shard);
       }
       return;
@@ -359,7 +363,7 @@ void LookupTablePrimitive::handle_response(std::size_t shard,
       ++stats_.collision_drops;
       return;
     }
-    cache_store(*key, action, shard);
+    if (fill) cache_store(*key, action, shard);
     auto egress = apply_action(action, packet);
     if (egress) {
       switch_->inject(std::move(packet), *egress);
@@ -391,7 +395,7 @@ void LookupTablePrimitive::reconnect(std::size_t shard,
 
 void LookupTablePrimitive::reclaim_shard(std::size_t shard) {
   std::vector<ShardPsn> keys;
-  for (const auto& [key, sent_at] : inflight_) {
+  for (const auto& [key, lookup] : inflight_) {
     if (key.shard == shard) keys.push_back(key);
   }
   for (const auto& [key, held] : pending_) {
@@ -430,11 +434,15 @@ void LookupTablePrimitive::on_timeout() {
   if (inflight_.empty() && pending_.empty()) return;  // re-armed on next post
   const sim::Time now = switch_->simulator().now();
   std::vector<ShardPsn> stale;
-  for (const auto& [key, sent_at] : inflight_) {
-    if (now - sent_at >= shard_timeout(key.shard)) stale.push_back(key);
+  for (const auto& [key, lookup] : inflight_) {
+    if (now - lookup.sent_at >= shard_timeout(key.shard)) {
+      stale.push_back(key);
+    }
   }
   for (const auto& [key, held] : pending_) {
-    if (now - held.sent_at >= shard_timeout(key.shard)) stale.push_back(key);
+    if (now - held.lookup.sent_at >= shard_timeout(key.shard)) {
+      stale.push_back(key);
+    }
   }
   // Expire in (shard, PSN) order, not hash order: drops, traces and
   // health observations are part of the replay.
@@ -514,6 +522,16 @@ bool LookupTablePrimitive::invalidate_cached(
   const bool dropped =
       cache_.invalidate(LookupCache::Key(key.begin(), key.end()));
   sync_cache_stats();
+  // A READ of this entry posted before now may carry the old verdict:
+  // keep it from re-filling the cache. (Flag updates only, so hash order
+  // does not matter.)
+  const std::uint64_t idx = index_for_key(key, n_entries_, config_.hash_seed);
+  for (auto& [psn, lookup] : inflight_) {
+    if (lookup.idx == idx) lookup.fill = false;
+  }
+  for (auto& [psn, held] : pending_) {
+    if (held.lookup.idx == idx) held.lookup.fill = false;
+  }
   return dropped;
 }
 

@@ -186,7 +186,9 @@ class LookupTablePrimitive {
 
   /// Write-through invalidation hook: the control plane rewrote (or
   /// removed) `key`'s remote entry — drop any local copy so the next
-  /// packet refetches the new value. True if a copy was dropped.
+  /// packet refetches the new value. READs of the key's entry already in
+  /// flight still answer their packets but no longer fill the cache.
+  /// True if a copy was dropped.
   bool invalidate_cached(std::span<const std::uint8_t> key);
 
   /// --- Control-plane population ---------------------------------------
@@ -257,12 +259,20 @@ class LookupTablePrimitive {
           (static_cast<std::uint64_t>(k.shard) << 32) | k.psn.raw());
     }
   };
-  // Bounce mode: outstanding READs and when they were posted.
-  std::unordered_map<ShardPsn, sim::Time, ShardPsnHash> inflight_;
+  // One outstanding READ: when it was posted, the table index it reads,
+  // and whether its verdict may fill the cache (invalidate_cached()
+  // clears `fill`: the verdict may predate the control plane's rewrite).
+  struct Lookup {
+    sim::Time sent_at = 0;
+    std::uint64_t idx = 0;
+    bool fill = true;
+  };
+  // Bounce mode: outstanding READs.
+  std::unordered_map<ShardPsn, Lookup, ShardPsnHash> inflight_;
   // Recirculate mode: held originals keyed by READ key.
   struct Held {
     net::Packet packet;
-    sim::Time sent_at = 0;
+    Lookup lookup;
   };
   std::unordered_map<ShardPsn, Held, ShardPsnHash> pending_;
   sim::EventId timeout_;

@@ -1,5 +1,7 @@
 #include "roce/packet.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "net/checksum.hpp"
@@ -52,19 +54,28 @@ void check_headers_match_opcode(const RoceMessage& msg) {
 
 std::uint32_t compute_icrc(std::span<const std::uint8_t> frame,
                            RoceVersion version) {
-  // Build the masked pseudo-frame the CRC covers: 8 bytes of 0xFF in
-  // place of deterministically varying routing fields, then the packet
-  // from the routing header onwards with the mutable fields (ToS/TTL/IP
-  // checksum/UDP checksum for v2; TClass/hop limit for v1; BTH resv8a)
-  // forced to ones.
-  std::vector<std::uint8_t> pseudo;
-  pseudo.reserve(8 + frame.size());
-  pseudo.insert(pseudo.end(), 8, 0xff);
-  // Strip Ethernet (14 bytes): the L2 header is not covered.
-  pseudo.insert(pseudo.end(), frame.begin() + net::kEthernetHeaderBytes,
-                frame.end());
+  // The CRC covers a masked pseudo-frame: 8 bytes of 0xFF in place of
+  // deterministically varying routing fields, then the packet from the
+  // routing header onwards (the L2 header is not covered) with the
+  // mutable fields (ToS/TTL/IP checksum/UDP checksum for v2; TClass/hop
+  // limit for v1; BTH resv8a) forced to ones. Only the fixed headers are
+  // masked, so they are copied and masked on the stack; the rest of the
+  // frame is hashed in place by chaining the CRC.
+  const std::size_t routing =
+      version == RoceVersion::kV2
+          ? net::kIpv4HeaderBytes + net::kUdpHeaderBytes
+          : kGrhBytes;
+  const std::size_t masked = routing + kBthBytes;
+  if (frame.size() < net::kEthernetHeaderBytes + masked) {
+    throw std::invalid_argument(
+        "compute_icrc: frame shorter than Ethernet + routing header + BTH");
+  }
+  constexpr std::size_t base = 8;  // routing header offset in `pseudo`
+  std::array<std::uint8_t, base + kGrhBytes + kBthBytes> pseudo{};
+  std::fill_n(pseudo.begin(), base, std::uint8_t{0xff});
+  const auto headers = frame.subspan(net::kEthernetHeaderBytes, masked);
+  std::copy(headers.begin(), headers.end(), pseudo.begin() + base);
 
-  const std::size_t base = 8;  // offset of the routing header in `pseudo`
   if (version == RoceVersion::kV2) {
     pseudo[base + 1] = 0xff;   // IPv4 ToS (DSCP+ECN)
     pseudo[base + 8] = 0xff;   // TTL
@@ -81,7 +92,9 @@ std::uint32_t compute_icrc(std::span<const std::uint8_t> frame,
     pseudo[base + 7] = 0xff;
     pseudo[base + 40 + 4] = 0xff;  // BTH resv8a
   }
-  return net::crc32(pseudo);
+  const std::uint32_t head =
+      net::crc32(std::span<const std::uint8_t>(pseudo).first(base + masked));
+  return net::crc32(frame.subspan(net::kEthernetHeaderBytes + masked), head);
 }
 
 net::Packet build_roce_packet(const RoceEndpoint& src, const RoceEndpoint& dst,

@@ -69,6 +69,52 @@ class LookupTableTest : public ::testing::Test {
     tb_.sim().run();
   }
 
+  /// Regression for a stale cache fill: a READ posted before a
+  /// write-through invalidation answers after it, carrying the old
+  /// action. It must still answer its own packet, but must not re-fill
+  /// the copy just invalidated, or later packets get the old action.
+  void stale_fill_scenario(LookupTablePrimitive::Mode mode) {
+    auto& lt = make_primitive({.mode = mode, .cache_capacity = 64});
+    const auto key = flow_key(7000, 9000);
+    install(key, dscp_forward_action(10));
+    host::PacketSink sink(tb_.host(1));
+    std::uint8_t seen_dscp = 0;
+    sink.set_on_packet([&](const net::Packet& p) {
+      seen_dscp = net::parse_packet(p).ipv4->dscp;
+    });
+
+    // One packet misses; step until the server has read the old entry
+    // while its response is still on the way back.
+    host::CbrTrafficGen gen(tb_.host(0), {.dst_mac = tb_.host(1).mac(),
+                                          .dst_ip = tb_.host(1).ip(),
+                                          .src_port = 7000,
+                                          .dst_port = 9000,
+                                          .frame_size = 256,
+                                          .rate = sim::gbps(1),
+                                          .packet_limit = 1});
+    gen.start();
+    while (tb_.host(2).rnic().stats().reads == 0) {
+      ASSERT_FALSE(tb_.sim().idle());
+      tb_.sim().run_until(tb_.sim().now() + sim::nanoseconds(10));
+    }
+    ASSERT_EQ(lt.outstanding(), 1u) << "response still in flight";
+
+    // The control plane invalidates, then rewrites the remote entry.
+    EXPECT_FALSE(lt.invalidate_cached(key)) << "nothing cached yet";
+    install(key, dscp_forward_action(46));
+    tb_.sim().run();
+    EXPECT_EQ(sink.packets(), 1u);
+    EXPECT_EQ(seen_dscp, 10) << "the old verdict answers its own packet";
+    EXPECT_EQ(lt.cache_size(), 0u) << "but does not fill the cache";
+
+    // The next packet refetches and gets the new action.
+    send_packets(1, sim::mbps(100));
+    EXPECT_EQ(sink.packets(), 2u);
+    EXPECT_EQ(seen_dscp, 46);
+    EXPECT_EQ(lt.stats().remote_lookups, 2u);
+    EXPECT_EQ(lt.cache_size(), 1u);
+  }
+
   Testbed tb_;
   control::RdmaChannelConfig channel_;
   std::unique_ptr<LookupTablePrimitive> primitive_;
@@ -352,6 +398,14 @@ TEST_F(LookupTableTest, WriteThroughInvalidationRefetchesNewAction) {
   EXPECT_EQ(seen_dscp, 46);
   EXPECT_EQ(lt.stats().remote_lookups, 2u) << "exactly one refetch";
   EXPECT_EQ(lt.cache().stats().invalidations, 1u);
+}
+
+TEST_F(LookupTableTest, InflightReadDoesNotRefillAfterInvalidation) {
+  stale_fill_scenario(LookupTablePrimitive::Mode::kBounce);
+}
+
+TEST_F(LookupTableTest, InflightRecirculateReadDoesNotRefillAfterInvalidation) {
+  stale_fill_scenario(LookupTablePrimitive::Mode::kRecirculate);
 }
 
 TEST_F(LookupTableTest, NegativeCacheSuppressesRepeatMissReads) {

@@ -109,6 +109,43 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(crc32({}), 0u);
 }
 
+// Reference oracle: the bit-at-a-time reflected CRC-32.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xffffffffu;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::vector<std::uint8_t> pattern_bytes(std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  std::uint32_t x = 12345;
+  for (auto& b : v) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<std::uint8_t>(x >> 16);
+  }
+  return v;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  const std::vector<std::uint8_t> buf = pattern_bytes(4096 + 16);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(1500);
+  lengths.push_back(4096);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (const std::size_t n : lengths) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, n);
+      EXPECT_EQ(crc32(data), crc32_bitwise(data))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
 TEST(Crc32, SeedChaining) {
   const std::uint8_t all[] = {'a', 'b', 'c', 'd'};
   const std::uint32_t whole = crc32(all);
@@ -116,6 +153,16 @@ TEST(Crc32, SeedChaining) {
   const std::uint32_t chained =
       crc32(std::span<const std::uint8_t>(all + 2, 2), part1);
   EXPECT_EQ(chained, whole);
+}
+
+TEST(Crc32, SeedChainingHoldsAtEverySplit) {
+  const std::vector<std::uint8_t> buf = pattern_bytes(100);
+  const std::span<const std::uint8_t> all(buf);
+  const std::uint32_t whole = crc32(all);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    EXPECT_EQ(crc32(all.subspan(split), crc32(all.first(split))), whole)
+        << "split " << split;
+  }
 }
 
 TEST(Address, MacParseFormat) {

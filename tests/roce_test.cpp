@@ -3,11 +3,17 @@
 // and the §4 header-overhead arithmetic the paper quotes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
+#include "net/checksum.hpp"
 #include "net/packet.hpp"
 #include "roce/grh.hpp"
 #include "roce/headers.hpp"
 #include "roce/opcodes.hpp"
 #include "roce/packet.hpp"
+#include "sim/rng.hpp"
 
 namespace xmem::roce {
 namespace {
@@ -175,15 +181,190 @@ TEST(RocePacket, IcrcRejectsCorruption) {
   EXPECT_FALSE(parse_roce_packet(frame).has_value());
 }
 
-TEST(RocePacket, IcrcIgnoresMutableFields) {
+// Bitwise CRC-32 and the copy-and-mask pseudo-frame: the reference
+// oracle compute_icrc() must match on every frame.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xffffffffu;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::uint32_t icrc_reference(std::span<const std::uint8_t> frame,
+                             RoceVersion version) {
+  std::vector<std::uint8_t> pseudo(8 + frame.size() - net::kEthernetHeaderBytes,
+                                   0xff);
+  std::copy(frame.begin() + net::kEthernetHeaderBytes, frame.end(),
+            pseudo.begin() + 8);
+  if (version == RoceVersion::kV2) {
+    for (const std::size_t i : {9u, 16u, 18u, 19u, 34u, 35u, 40u}) {
+      pseudo[i] = 0xff;  // ToS, TTL, IP checksum, UDP checksum, resv8a
+    }
+  } else {
+    pseudo[8] |= 0x0f;  // traffic class, low nibble of byte 0
+    pseudo[9] |= 0xf0;  // traffic class, high nibble of byte 1
+    pseudo[15] = 0xff;  // hop limit
+    pseudo[52] = 0xff;  // BTH resv8a
+  }
+  return crc32_bitwise(pseudo);
+}
+
+/// True if the frame's trailing ICRC matches one recomputed over it.
+bool icrc_verifies(const net::Packet& frame, RoceVersion version) {
+  const auto bytes = frame.bytes();
+  net::ByteReader r(bytes.subspan(bytes.size() - kIcrcBytes));
+  return r.u32() ==
+         compute_icrc(bytes.first(bytes.size() - kIcrcBytes), version);
+}
+
+net::Packet write_frame(std::size_t payload, RoceVersion version) {
   RoceMessage msg;
   msg.bth.opcode = Opcode::kRdmaWriteOnly;
-  msg.reth = Reth{0, 0, 0};
-  net::Packet frame = build_roce_packet(endpoint_a(), endpoint_b(), msg);
+  msg.bth.dest_qp = 0x123456;
+  msg.reth = Reth{0x1000, 0xaa, static_cast<std::uint32_t>(payload)};
+  msg.payload.assign(payload, 0x5a);
+  return build_roce_packet(endpoint_a(), endpoint_b(), msg, version);
+}
+
+TEST(RocePacket, IcrcMatchesCopyAndMaskReference) {
+  sim::Rng rng(2024);
+  for (const RoceVersion version : {RoceVersion::kV2, RoceVersion::kV1}) {
+    const std::size_t min_len =
+        net::kEthernetHeaderBytes + kBthBytes +
+        (version == RoceVersion::kV2
+             ? net::kIpv4HeaderBytes + net::kUdpHeaderBytes
+             : kGrhBytes);
+    for (int trial = 0; trial < 300; ++trial) {
+      // Arbitrary bytes: compute_icrc must mask by offset alone.
+      std::vector<std::uint8_t> junk(min_len + rng.uniform(1600));
+      for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
+      EXPECT_EQ(compute_icrc(junk, version), icrc_reference(junk, version))
+          << "trial " << trial << " len " << junk.size();
+
+      // A built frame: the stored ICRC is the reference one.
+      RoceMessage msg;
+      msg.bth.opcode = Opcode::kRdmaWriteOnly;
+      msg.bth.psn = Psn(static_cast<std::uint32_t>(rng.uniform(1u << 24)));
+      msg.payload.resize(rng.uniform(1500));
+      for (auto& b : msg.payload) b = static_cast<std::uint8_t>(rng.next());
+      msg.reth = Reth{rng.next(), static_cast<std::uint32_t>(rng.next()),
+                      static_cast<std::uint32_t>(msg.payload.size())};
+      const net::Packet frame =
+          build_roce_packet(endpoint_a(), endpoint_b(), msg, version);
+      const auto bytes = frame.bytes();
+      net::ByteReader r(bytes.subspan(bytes.size() - kIcrcBytes));
+      EXPECT_EQ(r.u32(),
+                icrc_reference(bytes.first(bytes.size() - kIcrcBytes),
+                               version));
+    }
+  }
+}
+
+TEST(RocePacket, IcrcIgnoresMutableFields) {
+  const net::Packet v2 = write_frame(64, RoceVersion::kV2);
   // Rewriting DSCP (ToS + IP checksum change) must not break the ICRC —
   // switches legitimately remark RoCE traffic in flight.
-  ASSERT_TRUE(net::rewrite_dscp(frame, 46));
-  EXPECT_TRUE(parse_roce_packet(frame).has_value());
+  net::Packet dscp = v2.clone();
+  ASSERT_TRUE(net::rewrite_dscp(dscp, 46));
+  EXPECT_TRUE(parse_roce_packet(dscp).has_value());
+  // Nor may a congestion mark.
+  net::Packet ecn = v2.clone();
+  ASSERT_TRUE(net::set_ecn(ecn, net::Ecn::kCe));
+  auto marked = parse_roce_packet(ecn);
+  ASSERT_TRUE(marked.has_value());
+  EXPECT_EQ(marked->ecn, net::Ecn::kCe);
+  // A router's TTL decrement, with the IP checksum refreshed.
+  net::Packet ttl = v2.clone();
+  {
+    const auto ip = ttl.mutable_bytes().subspan(net::kEthernetHeaderBytes,
+                                                net::kIpv4HeaderBytes);
+    ip[8] = static_cast<std::uint8_t>(ip[8] - 1);
+    ip[10] = ip[11] = 0;
+    const std::uint16_t sum = net::internet_checksum(ip);
+    ip[10] = static_cast<std::uint8_t>(sum >> 8);
+    ip[11] = static_cast<std::uint8_t>(sum);
+  }
+  EXPECT_TRUE(parse_roce_packet(ttl).has_value());
+
+  // Every masked byte on its own: the ICRC still verifies. (A lone IP
+  // checksum change still fails IPv4 validation at parse; the ICRC is
+  // not what rejects it.)
+  const std::size_t ip = net::kEthernetHeaderBytes;
+  const std::size_t bth = ip + net::kIpv4HeaderBytes + net::kUdpHeaderBytes;
+  for (const std::size_t at : {ip + 1, ip + 8, ip + 10, ip + 11,
+                               ip + 20 + 6, ip + 20 + 7, bth + 4}) {
+    net::Packet p = v2.clone();
+    p.mutable_bytes()[at] ^= 0xa5;
+    EXPECT_TRUE(icrc_verifies(p, RoceVersion::kV2)) << "v2 byte " << at;
+  }
+
+  // RoCEv1: traffic class (low nibble of GRH byte 0, high nibble of
+  // byte 1), hop limit, and BTH resv8a.
+  const net::Packet v1 = write_frame(64, RoceVersion::kV1);
+  const std::size_t grh = net::kEthernetHeaderBytes;
+  struct Flip {
+    std::size_t at;
+    std::uint8_t mask;
+  };
+  for (const Flip f : {Flip{grh + 0, 0x0f}, Flip{grh + 1, 0xf0},
+                       Flip{grh + 7, 0xff}, Flip{grh + kGrhBytes + 4, 0xff}}) {
+    net::Packet p = v1.clone();
+    p.mutable_bytes()[f.at] ^= f.mask;
+    EXPECT_TRUE(icrc_verifies(p, RoceVersion::kV1)) << "v1 byte " << f.at;
+    EXPECT_TRUE(parse_roce_packet(p).has_value()) << "v1 byte " << f.at;
+  }
+}
+
+TEST(RocePacket, IcrcCoversUnmaskedHeaderBytes) {
+  // The converse: a flip in a header byte the ICRC does not mask (the
+  // BTH destination QP) is rejected, in both encapsulations.
+  for (const RoceVersion version : {RoceVersion::kV2, RoceVersion::kV1}) {
+    const std::size_t bth =
+        net::kEthernetHeaderBytes +
+        (version == RoceVersion::kV2
+             ? net::kIpv4HeaderBytes + net::kUdpHeaderBytes
+             : kGrhBytes);
+    for (const std::size_t at : {bth + 5, bth + 6, bth + 7}) {
+      net::Packet p = write_frame(64, version);
+      p.mutable_bytes()[at] ^= 0x01;
+      EXPECT_FALSE(icrc_verifies(p, version)) << "byte " << at;
+      EXPECT_FALSE(parse_roce_packet(p).has_value()) << "byte " << at;
+    }
+  }
+}
+
+TEST(RocePacket, ComputeIcrcRejectsFramesShorterThanItsHeaders) {
+  const std::size_t v2_min = net::kEthernetHeaderBytes +
+                             net::kIpv4HeaderBytes + net::kUdpHeaderBytes +
+                             kBthBytes;
+  const std::size_t v1_min = net::kEthernetHeaderBytes + kGrhBytes + kBthBytes;
+  const std::vector<std::uint8_t> tiny(10, 0);
+  EXPECT_THROW((void)compute_icrc(tiny, RoceVersion::kV2),
+               std::invalid_argument);
+  EXPECT_THROW((void)compute_icrc(tiny, RoceVersion::kV1),
+               std::invalid_argument);
+  const std::vector<std::uint8_t> v2_short(v2_min - 1, 0);
+  EXPECT_THROW((void)compute_icrc(v2_short, RoceVersion::kV2),
+               std::invalid_argument);
+  const std::vector<std::uint8_t> v1_short(v1_min - 1, 0);
+  EXPECT_THROW((void)compute_icrc(v1_short, RoceVersion::kV1),
+               std::invalid_argument);
+
+  // A BTH-only frame (WRITE Middle, no payload) is exactly the minimum.
+  for (const RoceVersion version : {RoceVersion::kV2, RoceVersion::kV1}) {
+    RoceMessage msg;
+    msg.bth.opcode = Opcode::kRdmaWriteMiddle;
+    const net::Packet frame =
+        build_roce_packet(endpoint_a(), endpoint_b(), msg, version);
+    EXPECT_EQ(frame.size() - kIcrcBytes,
+              version == RoceVersion::kV2 ? v2_min : v1_min);
+    EXPECT_NO_THROW(EXPECT_TRUE(icrc_verifies(frame, version)));
+    EXPECT_TRUE(parse_roce_packet(frame).has_value());
+  }
 }
 
 TEST(RocePacket, NonRoceReturnsNullopt) {
