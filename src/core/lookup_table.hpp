@@ -46,12 +46,11 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
-#include "core/adaptive_rto.hpp"
 #include "core/channel_set.hpp"
 #include "core/lookup_cache.hpp"
+#include "core/op_window.hpp"
 #include "switchsim/switch.hpp"
 
 namespace xmem::core {
@@ -155,19 +154,13 @@ class LookupTablePrimitive {
   [[nodiscard]] const ChannelSet& channels() const { return channels_; }
   [[nodiscard]] ChannelSet& channels() { return channels_; }
   [[nodiscard]] std::size_t shard_count() const { return channels_.size(); }
-  /// The shard's RTT estimator (meaningful only with adaptive_rto on).
-  [[nodiscard]] const AdaptiveRto& rto(std::size_t shard) const {
-    return rto_[shard];
-  }
   /// Total entries across all shards.
   [[nodiscard]] std::size_t table_entries() const { return n_entries_; }
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
   /// The local SRAM cache (policy, occupancy, its own Stats).
   [[nodiscard]] const LookupCache& cache() const { return cache_; }
   /// Lookups currently in flight (bounce READs + held recirc originals).
-  [[nodiscard]] std::size_t outstanding() const {
-    return inflight_.size() + pending_.size();
-  }
+  [[nodiscard]] std::size_t outstanding() const { return window_.size(); }
 
   /// Register every Stats field plus outstanding-lookup gauges under
   /// `<prefix>/...`, and delegate per-shard channel + health metrics to
@@ -223,7 +216,6 @@ class LookupTablePrimitive {
   void remote_lookup(switchsim::PipelineContext& ctx, std::uint64_t idx);
   void on_health_change(std::size_t shard, ChannelSet::Health health);
   void reclaim_shard(std::size_t shard);
-  void arm_timeout();
   void on_timeout();
   /// Apply `action` to `packet`; returns the egress port, or nullopt if
   /// the packet should be dropped.
@@ -243,46 +235,19 @@ class LookupTablePrimitive {
   ChannelSet channels_;
   Config config_;
   LookupCache cache_;
-  std::size_t n_entries_ = 0;         // total across shards
-  std::size_t entries_per_shard_ = 0;
+  std::size_t n_entries_ = 0;  // total across shards
 
-  // Outstanding READs are keyed by (shard, psn): PSN spaces are
-  // per-channel.
-  struct ShardPsn {
-    std::size_t shard;
-    roce::Psn psn;
-    bool operator==(const ShardPsn&) const = default;
-  };
-  struct ShardPsnHash {
-    std::size_t operator()(const ShardPsn& k) const noexcept {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(k.shard) << 32) | k.psn.raw());
-    }
-  };
-  // One outstanding READ: when it was posted, the table index it reads,
-  // and whether its verdict may fill the cache (invalidate_cached()
-  // clears `fill`: the verdict may predate the control plane's rewrite).
+  // One outstanding READ: the table index it reads, whether its verdict
+  // may fill the cache (invalidate_cached() clears `fill`: the verdict may
+  // predate the control plane's rewrite), and in recirculate mode the
+  // original packet held until the action returns.
   struct Lookup {
-    sim::Time sent_at = 0;
     std::uint64_t idx = 0;
     bool fill = true;
+    net::Packet held;
   };
-  // Bounce mode: outstanding READs.
-  std::unordered_map<ShardPsn, Lookup, ShardPsnHash> inflight_;
-  // Recirculate mode: held originals keyed by READ key.
-  struct Held {
-    net::Packet packet;
-    Lookup lookup;
-  };
-  std::unordered_map<ShardPsn, Held, ShardPsnHash> pending_;
-  sim::EventId timeout_;
-  /// Per-shard adaptive deadline estimators (used when
-  /// adaptive_rto.enabled).
-  std::vector<AdaptiveRto> rto_;
-  [[nodiscard]] sim::Time shard_timeout(std::size_t shard) const {
-    return config_.adaptive_rto.enabled ? rto_[shard].rto()
-                                        : config_.lookup_timeout;
-  }
+  RecoveryClock clock_;
+  OpWindow<Lookup> window_;
 
   Stats stats_;
 };

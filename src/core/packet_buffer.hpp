@@ -25,13 +25,11 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "core/adaptive_rto.hpp"
 #include "core/channel_set.hpp"
 #include "core/dedup_window.hpp"
+#include "core/op_window.hpp"
 #include "switchsim/switch.hpp"
 
 namespace xmem::core {
@@ -129,10 +127,6 @@ class PacketBufferPrimitive {
   [[nodiscard]] const ChannelSet& channels() const { return channels_; }
   [[nodiscard]] ChannelSet& channels() { return channels_; }
   [[nodiscard]] std::size_t stripe_width() const { return channels_.size(); }
-  /// The stripe's RTT estimator (meaningful only with adaptive_rto on).
-  [[nodiscard]] const AdaptiveRto& rto(std::size_t stripe) const {
-    return rto_[stripe];
-  }
   /// Entries currently resident in remote memory.
   [[nodiscard]] std::int64_t ring_depth() const {
     return static_cast<std::int64_t>(head_ - tail_);
@@ -145,7 +139,7 @@ class PacketBufferPrimitive {
   /// fully drained, every store was acknowledged and no READ or
   /// deferred entry is pending.
   [[nodiscard]] bool quiescent() const {
-    return tail_ == head_ && inflight_.empty() && inflight_writes_.empty() &&
+    return tail_ == head_ && reads_.empty() && writes_.empty() &&
            deferred_stores_.empty();
   }
 
@@ -178,8 +172,10 @@ class PacketBufferPrimitive {
   void store_packet(const net::Packet& packet);
   void maybe_issue_reads();
   void drain_reorder_buffer();
-  void arm_timeout();
   void on_timeout();
+  /// True while `slot`'s entry WRITE is unacknowledged or still
+  /// deferred: a READ of it would race the store.
+  [[nodiscard]] bool store_pending(std::uint64_t slot) const;
 
   [[nodiscard]] std::size_t channel_of(std::uint64_t slot) const {
     return static_cast<std::size_t>(slot % channels_.size());
@@ -201,40 +197,20 @@ class PacketBufferPrimitive {
   std::uint64_t tail_ = 0;             // next slot to re-inject (monotonic)
   bool diverting_ = false;
 
-  // Outstanding READ bookkeeping.
-  struct InflightKey {
-    std::size_t channel;
-    roce::Psn psn;
-    bool operator==(const InflightKey&) const = default;
-  };
-  struct InflightKeyHash {
-    std::size_t operator()(const InflightKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(k.channel) << 32) | k.psn.raw());
-    }
-  };
   std::uint64_t next_read_slot_ = 0;  // next slot to request (monotonic)
-  struct InflightRead {
+  /// One clock, two windows per stripe: outstanding READs, and entry
+  /// WRITEs awaiting their ACK (reliable stores only; the bytes are kept
+  /// for retransmission). Each window holds its stripe's slots in order.
+  struct SlotRead {
     std::uint64_t slot = 0;
-    sim::Time sent_at = 0;
-    bool retransmitted = false;  // Karn: its RTT must not feed the estimator
   };
-  std::unordered_map<InflightKey, InflightRead, InflightKeyHash>
-      inflight_;                              // (chan, psn) -> read
-  std::vector<int> inflight_per_channel_;
-
-  // Reliable-store bookkeeping (all empty unless reliable_stores).
-  struct PendingWrite {
+  struct SlotWrite {
     std::uint64_t slot = 0;
-    std::vector<std::uint8_t> entry;  // kept for retransmission
-    sim::Time sent_at = 0;
-    bool retransmitted = false;
+    std::vector<std::uint8_t> entry;
   };
-  std::unordered_map<InflightKey, PendingWrite, InflightKeyHash>
-      inflight_writes_;                       // (chan, psn) -> write
-  /// Slots whose entry WRITE is not yet acknowledged (or still
-  /// deferred); READs for them are gated.
-  std::unordered_set<std::uint64_t> unacked_slots_;
+  RecoveryClock clock_;
+  OpWindow<SlotRead> reads_;
+  OpWindow<SlotWrite> writes_;
   /// slot -> entry bytes parked while the slot's stripe is down.
   std::map<std::uint64_t, std::vector<std::uint8_t>> deferred_stores_;
   /// Duplicate NAK frames have no inflight entry to no-op against.
@@ -244,13 +220,6 @@ class PacketBufferPrimitive {
   /// drain skips over.
   std::map<std::uint64_t, net::Packet> reorder_;
   sim::Time last_read_progress_ = 0;
-  sim::EventId timeout_;
-  /// Per-stripe adaptive RTO estimators (used when adaptive_rto.enabled).
-  std::vector<AdaptiveRto> rto_;
-  [[nodiscard]] sim::Time stripe_timeout(std::size_t stripe) const {
-    return config_.adaptive_rto.enabled ? rto_[stripe].rto()
-                                        : config_.read_timeout;
-  }
 
   Stats stats_;
 };

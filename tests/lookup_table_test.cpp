@@ -115,10 +115,55 @@ class LookupTableTest : public ::testing::Test {
     EXPECT_EQ(lt.cache_size(), 1u);
   }
 
+  /// Lossy READ responses: every packet is answered by its lookup,
+  /// abandoned by the timeout scavenger, or passed through un-looked-up
+  /// while the expiries hold the shard down — exactly one of the three.
+  void lossy_responses_scenario(LookupTablePrimitive::Mode mode,
+                                roce::Psn initial_psn) {
+    if (initial_psn != channel_.initial_psn) {
+      channel_ = tb_.controller().setup_channel(
+          tb_.host(2), tb_.port_of(2),
+          {.region_bytes = 1 << 20, .initial_psn = initial_psn});
+    }
+    auto& lt = make_primitive({.mode = mode});
+    install(flow_key(7000, 9000), dscp_forward_action(5));
+    // Server -> switch only: deposits always land, responses may not.
+    tb_.link_of(2).set_loss_rate(0.05, 41, /*direction=*/1);
+    host::PacketSink sink(tb_.host(1));
+    send_packets(1000, sim::gbps(1));
+
+    const auto& st = lt.stats();
+    EXPECT_GT(st.lost_responses, 0u);
+    EXPECT_EQ(st.applied + st.lost_responses + st.degraded_passthrough,
+              1000u);
+    EXPECT_EQ(sink.packets(), st.applied + st.degraded_passthrough);
+    EXPECT_EQ(lt.outstanding(), 0u);
+    if (initial_psn != roce::Psn{}) {
+      EXPECT_LT(lt.channel().next_psn().raw(), initial_psn.raw())
+          << "the run must cross the PSN wrap";
+    }
+  }
+
   Testbed tb_;
   control::RdmaChannelConfig channel_;
   std::unique_ptr<LookupTablePrimitive> primitive_;
 };
+
+/// Just short of the 24-bit PSN wrap.
+constexpr roce::Psn kNearWrap{(1u << 24) - 300};
+
+TEST_F(LookupTableTest, LossyResponsesAreAbandonedNotLeaked) {
+  lossy_responses_scenario(LookupTablePrimitive::Mode::kBounce, roce::Psn{});
+}
+
+TEST_F(LookupTableTest, LossyResponsesAreAbandonedAcrossPsnWrap) {
+  lossy_responses_scenario(LookupTablePrimitive::Mode::kBounce, kNearWrap);
+}
+
+TEST_F(LookupTableTest, LossyRecirculateResponsesAreAbandonedNotLeaked) {
+  lossy_responses_scenario(LookupTablePrimitive::Mode::kRecirculate,
+                           roce::Psn{});
+}
 
 TEST_F(LookupTableTest, BounceModeAppliesRemoteAction) {
   auto& lt = make_primitive({});

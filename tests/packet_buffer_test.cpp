@@ -27,11 +27,17 @@ class PacketBufferTest : public ::testing::Test {
     return cfg;
   }
 
-  PacketBufferTest() : tb_(testbed_config()) {
+  PacketBufferTest() : tb_(testbed_config()) { setup_channels({}); }
+
+  /// (Re)build both stripes' channels, their PSNs starting at
+  /// `initial_psn`.
+  void setup_channels(roce::Psn initial_psn) {
+    channels_.clear();
     for (int server : {3, 4}) {
       channels_.push_back(tb_.controller().setup_channel(
           tb_.host(server), tb_.port_of(server),
-          {.region_bytes = 8 * static_cast<std::size_t>(sim::kMiB)}));
+          {.region_bytes = 8 * static_cast<std::size_t>(sim::kMiB),
+           .initial_psn = initial_psn}));
     }
     channel_ = channels_.front();
   }
@@ -59,6 +65,11 @@ class PacketBufferTest : public ::testing::Test {
     incast.start(sim::microseconds(1));
     tb_.sim().run();
   }
+
+  void expect_loss_affects_only_lost(roce::Psn initial_psn);
+  void expect_reliable_loads_recover(roce::Psn initial_psn);
+  static void expect_crossed(const PacketBufferPrimitive& pb,
+                             roce::Psn initial_psn);
 
   Testbed tb_;
   std::vector<control::RdmaChannelConfig> channels_;
@@ -137,7 +148,12 @@ TEST_F(PacketBufferTest, RingExhaustionDropsExcess) {
             4000u);
 }
 
-TEST_F(PacketBufferTest, LossyMemoryLinkLosesOnlyAffectedPackets) {
+/// Just short of the 24-bit PSN wrap: the loss tests below also run with
+/// both stripes' windows crossing it.
+constexpr roce::Psn kNearWrap{(1u << 24) - 300};
+
+void PacketBufferTest::expect_loss_affects_only_lost(roce::Psn initial_psn) {
+  if (initial_psn != channel_.initial_psn) setup_channels(initial_psn);
   auto& pb = make_primitive({.divert_threshold_bytes = 40 * 1500,
                              .resume_threshold_bytes = 10 * 1500});
   tb_.link_of(3).set_loss_rate(0.02, 23);  // both directions
@@ -149,11 +165,14 @@ TEST_F(PacketBufferTest, LossyMemoryLinkLosesOnlyAffectedPackets) {
   EXPECT_GT(sink.packets(), 0u);
   EXPECT_LT(sink.packets(), 2000u);
   EXPECT_FALSE(pb.diverting());
+  EXPECT_TRUE(pb.quiescent());
   const std::uint64_t lost = 2000u - sink.packets();
   EXPECT_LE(pb.stats().lost_loads, lost);
+  expect_crossed(pb, initial_psn);
 }
 
-TEST_F(PacketBufferTest, ReliableLoadsRecoverResponseLoss) {
+void PacketBufferTest::expect_reliable_loads_recover(roce::Psn initial_psn) {
+  if (initial_psn != channel_.initial_psn) setup_channels(initial_psn);
   auto& pb = make_primitive({.divert_threshold_bytes = 40 * 1500,
                              .resume_threshold_bytes = 10 * 1500,
                              .reliable_loads = true,
@@ -168,6 +187,33 @@ TEST_F(PacketBufferTest, ReliableLoadsRecoverResponseLoss) {
   EXPECT_EQ(sink.missing(), 0u);
   EXPECT_GT(pb.stats().read_retries, 0u);
   EXPECT_EQ(pb.stats().lost_loads, 0u);
+  EXPECT_TRUE(pb.quiescent());
+  expect_crossed(pb, initial_psn);
+}
+
+void PacketBufferTest::expect_crossed(const PacketBufferPrimitive& pb,
+                                      roce::Psn initial_psn) {
+  if (initial_psn != kNearWrap) return;
+  for (std::size_t i = 0; i < pb.stripe_width(); ++i) {
+    EXPECT_LT(pb.channel(i).next_psn().raw(), initial_psn.raw())
+        << "stripe " << i << " must cross the PSN wrap";
+  }
+}
+
+TEST_F(PacketBufferTest, LossyMemoryLinkLosesOnlyAffectedPackets) {
+  expect_loss_affects_only_lost(roce::Psn{});
+}
+
+TEST_F(PacketBufferTest, LossyMemoryLinkLosesOnlyAffectedPacketsAcrossPsnWrap) {
+  expect_loss_affects_only_lost(kNearWrap);
+}
+
+TEST_F(PacketBufferTest, ReliableLoadsRecoverResponseLoss) {
+  expect_reliable_loads_recover(roce::Psn{});
+}
+
+TEST_F(PacketBufferTest, ReliableLoadsRecoverResponseLossAcrossPsnWrap) {
+  expect_reliable_loads_recover(kNearWrap);
 }
 
 TEST_F(PacketBufferTest, SingleSenderOrderPreservedThroughRemoteBuffer) {
