@@ -10,7 +10,9 @@
 //   compare  post vs baseline with unit-direction awareness: warn above
 //            --tolerance (default 10%), fail at --fail-factor (default
 //            2x) regressions. Wall-clock and RSS are warn-only (they are
-//            machine-dependent); bench-reported metrics can fail.
+//            machine-dependent); bench-reported metrics can fail. A sweep
+//            bench's RSS grows with its worker count, so its RSS row is
+//            compared only when both entries ran at the same --jobs.
 //   summary  markdown table of baseline vs post for README snapshots.
 //
 // Verdict lines are grep-able: "GATE FAIL", "GATE WARN", "PERF GATE:".
@@ -45,6 +47,8 @@ struct Entry {
   std::string label;
   double wall_seconds = 0;
   double peak_rss_kb = 0;
+  /// Worker threads of a sweep bench (its "sweep" header); 0 = not one.
+  double sweep_jobs = 0;
   std::vector<Metric> metrics;
 };
 
@@ -129,6 +133,7 @@ std::string entry_to_json(const Entry& e) {
   w.kv("label", e.label);
   w.kv("wall_seconds", e.wall_seconds);
   w.kv("peak_rss_kb", e.peak_rss_kb);
+  if (e.sweep_jobs > 0) w.kv("sweep_jobs", e.sweep_jobs);
   w.key("metrics");
   w.begin_array();
   for (const Metric& m : e.metrics) {
@@ -212,7 +217,11 @@ int cmd_run(const std::vector<std::string>& args) {
   e.label = label;
   e.wall_seconds = wall;
   e.peak_rss_kb = static_cast<double>(ru.ru_maxrss);  // Linux: KiB
-  e.metrics = parse_bench_metrics(json::parse(read_file(metrics_path)));
+  const json::Value doc = json::parse(read_file(metrics_path));
+  e.metrics = parse_bench_metrics(doc);
+  if (doc.contains("sweep") && doc.at("sweep").contains("jobs")) {
+    e.sweep_jobs = doc.at("sweep").at("jobs").number();
+  }
   std::remove(metrics_path.c_str());
   write_file(out, entry_to_json(e));
   std::printf("perf_gate run: %-12s %6.2fs wall, %8.0f KiB peak, %zu metrics\n",
@@ -286,6 +295,11 @@ std::map<std::string, Metric> metric_map(const json::Value& entry) {
   return out;
 }
 
+/// The entry's sweep worker count, 0 when not recorded.
+double sweep_jobs(const json::Value& entry) {
+  return entry.contains("sweep_jobs") ? entry.at("sweep_jobs").number() : 0;
+}
+
 int cmd_compare(const std::vector<std::string>& args) {
   std::string file;
   double tolerance = 0.10;
@@ -320,11 +334,21 @@ int cmd_compare(const std::vector<std::string>& args) {
       ++warns;
       continue;
     }
-    const auto base = metric_map(entries.at("baseline").at(label));
+    const auto& base_entry = entries.at("baseline").at(label);
+    const auto base = metric_map(base_entry);
     const auto post = metric_map(post_entry);
+    const double base_jobs = sweep_jobs(base_entry);
+    const double post_jobs = sweep_jobs(post_entry);
     for (const auto& [name, pm] : post) {
       const auto it = base.find(name);
       if (it == base.end() || it->second.value == 0) continue;
+      if (name == "peak_rss_kb" && base_jobs > 0 && post_jobs > 0 &&
+          base_jobs != post_jobs) {
+        std::printf("GATE SKIP %s/peak_rss_kb: baseline at --jobs %.0f, "
+                    "post at --jobs %.0f\n",
+                    label.c_str(), base_jobs, post_jobs);
+        continue;
+      }
       ++compared;
       const double ratio = pm.value / it->second.value;
       const bool lower = lower_is_better(name, pm.unit);
