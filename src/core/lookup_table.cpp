@@ -384,13 +384,15 @@ void LookupTablePrimitive::on_timeout() {
   for (std::size_t shard = 0; shard < channels_.size(); ++shard) {
     // A lookup abandoned: the packet it carried is gone either way
     // (deposited remotely in bounce mode, held copy dropped in recirc
-    // mode). Each expiry is a timeout observation against its shard —
-    // which may trip the down transition and reclaim the rest.
-    window_.expire(shard, [&](auto&& lookup) {
+    // mode). A round that abandons any lookups is one timeout
+    // observation against its shard, however many it abandons: the
+    // shard answered the lookups around them. Enough silent rounds in a
+    // row trip the down transition, which reclaims the rest.
+    const bool expired = window_.expire(shard, [&](auto&& lookup) {
       ++stats_.lost_responses;
       channels_.at(shard).trace_complete(lookup.psn, "lost");
-      channels_.note_timeout(shard);
     });
+    if (expired) channels_.note_timeout(shard);
   }
   clock_.arm();
 }

@@ -207,9 +207,10 @@ class OpWindow {
   /// `shard` older than the shard's timeout and hand each to
   /// `lost(Op&&)`, which may trip a down transition that reclaims the
   /// rest. If anything expired the shard's RTO backs off one step,
-  /// however many ops expired.
+  /// however many ops expired, and the call returns true so the caller
+  /// can report one timeout observation for the round.
   template <class Fn>
-  void expire(std::size_t shard, Fn&& lost) {
+  bool expire(std::size_t shard, Fn&& lost) {
     const sim::Time now = clock_->now();
     const sim::Time timeout = clock_->timeout(shard);
     bool expired = false;
@@ -220,6 +221,7 @@ class OpWindow {
       lost(std::move(*gone));
     });
     if (expired) clock_->rto(shard).note_timeout();
+    return expired;
   }
 
  private:

@@ -117,7 +117,8 @@ class LookupTableTest : public ::testing::Test {
 
   /// Lossy READ responses: every packet is answered by its lookup,
   /// abandoned by the timeout scavenger, or passed through un-looked-up
-  /// while the expiries hold the shard down — exactly one of the three.
+  /// while the shard is held down — exactly one of the three — and the
+  /// light loss leaves the shard up for almost every packet.
   void lossy_responses_scenario(LookupTablePrimitive::Mode mode,
                                 roce::Psn initial_psn) {
     if (initial_psn != channel_.initial_psn) {
@@ -137,6 +138,11 @@ class LookupTableTest : public ::testing::Test {
     EXPECT_EQ(st.applied + st.lost_responses + st.degraded_passthrough,
               1000u);
     EXPECT_EQ(sink.packets(), st.applied + st.degraded_passthrough);
+    // The shard answers the lookups around each lost response, so 5%
+    // loss must not hold it down: a scavenger round that abandons
+    // several lookups is one timeout observation, not one per lookup.
+    EXPECT_GE(st.applied + st.lost_responses, 950u)
+        << st.degraded_passthrough << " packets passed through un-looked-up";
     EXPECT_EQ(lt.outstanding(), 0u);
     if (initial_psn != roce::Psn{}) {
       EXPECT_LT(lt.channel().next_psn().raw(), initial_psn.raw())

@@ -109,9 +109,11 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(crc32({}), 0u);
 }
 
-// Reference oracle: the bit-at-a-time reflected CRC-32.
-std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
-  std::uint32_t c = 0xffffffffu;
+// Reference oracle: the bit-at-a-time reflected CRC-32, chained from
+// `seed` like net::crc32.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data,
+                            std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xffffffffu;
   for (const std::uint8_t byte : data) {
     c ^= byte;
     for (int k = 0; k < 8; ++k) {
@@ -131,17 +133,24 @@ std::vector<std::uint8_t> pattern_bytes(std::size_t n) {
   return v;
 }
 
+// Every length to 300 covers both sides of the 64-byte cut-over to the
+// carry-less-multiply fold (where the CPU has it), single 16-byte fold
+// steps after one 64-byte block (80-127), multi-block folds and every
+// tail length the table finishes; 1500 and 4096 are a frame and a page.
 TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
   const std::vector<std::uint8_t> buf = pattern_bytes(4096 + 16);
   std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
   lengths.push_back(1500);
   lengths.push_back(4096);
   for (std::size_t offset = 0; offset < 16; ++offset) {
     for (const std::size_t n : lengths) {
       const std::span<const std::uint8_t> data(buf.data() + offset, n);
+      const auto seed = static_cast<std::uint32_t>(0x9e3779b9u * (n + 1));
       EXPECT_EQ(crc32(data), crc32_bitwise(data))
           << "offset " << offset << " length " << n;
+      EXPECT_EQ(crc32(data, seed), crc32_bitwise(data, seed))
+          << "offset " << offset << " length " << n << " seed " << seed;
     }
   }
 }
@@ -155,8 +164,10 @@ TEST(Crc32, SeedChaining) {
   EXPECT_EQ(chained, whole);
 }
 
+// 300 bytes: the splits chain fold -> table, table -> fold and
+// fold -> fold as well as table -> table.
 TEST(Crc32, SeedChainingHoldsAtEverySplit) {
-  const std::vector<std::uint8_t> buf = pattern_bytes(100);
+  const std::vector<std::uint8_t> buf = pattern_bytes(300);
   const std::span<const std::uint8_t> all(buf);
   const std::uint32_t whole = crc32(all);
   for (std::size_t split = 0; split <= all.size(); ++split) {
