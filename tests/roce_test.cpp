@@ -181,6 +181,23 @@ TEST(RocePacket, IcrcRejectsCorruption) {
   EXPECT_FALSE(parse_roce_packet(frame).has_value());
 }
 
+TEST(RocePacket, CorruptingAFrameLeavesItsParsedPayloadAlone) {
+  // The Link corrupt fault flips a byte through mutable_bytes() after a
+  // node may already hold the parsed message. The message keeps the
+  // bytes it was parsed from, and the damaged frame no longer verifies.
+  RoceMessage msg;
+  msg.bth.opcode = Opcode::kRdmaWriteOnly;
+  msg.reth = Reth{0, 0, 64};
+  msg.payload.assign(64, 0x5a);
+  net::Packet frame = build_roce_packet(endpoint_a(), endpoint_b(), msg);
+  const auto parsed = parse_roce_packet(frame);
+  ASSERT_TRUE(parsed.has_value());
+
+  frame.mutable_bytes()[frame.size() - kIcrcBytes - 1] ^= 0xff;
+  EXPECT_EQ(parsed->payload, msg.payload);
+  EXPECT_FALSE(parse_roce_packet(frame).has_value());
+}
+
 // Bitwise CRC-32 and the copy-and-mask pseudo-frame: the reference
 // oracle compute_icrc() must match on every frame.
 std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
