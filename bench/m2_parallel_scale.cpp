@@ -12,8 +12,11 @@
 // Scaling expectations are host-aware: a 1-core container cannot show
 // 8x, so the verdict scales the bar by min(8, host_cores) and the
 // pinned BENCH numbers record the host's core count in the "sweep"
-// header. perf-gate improvements never fail, so rows pinned on a small
+// header. On a shared host one wall-clock pair swings with the
+// neighbours' load, so the speedup verdict takes the median ratio of
+// kPairs interleaved serial / 8-worker runs. perf-gate improvements never fail, so rows pinned on a small
 // host stay safe when CI runs on a larger one.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -32,6 +35,7 @@ namespace {
 constexpr std::size_t kReplicas = 8;
 constexpr std::uint64_t kBasePackets = 30'000;
 constexpr std::uint64_t kSweepSeed = 0x32aa11e1ULL;
+constexpr std::size_t kPairs = 5;
 
 struct ReplicaDigest {
   std::uint64_t events = 0;
@@ -127,17 +131,34 @@ int main(int argc, char** argv) {
   }
   table.print("M2: aggregate simulated events/s vs sweep worker count");
 
-  const ScalePoint& serial = points.front();
-  const ScalePoint& eight = points.back();
-  const double speedup8 = serial.events_per_sec > 0
-                              ? eight.events_per_sec / serial.events_per_sec
-                              : 0;
+  // The speedup verdict: serial and 8-worker sweeps alternated, so
+  // both sides of every pair see the same background load.
+  std::vector<double> ratios;
+  std::vector<double> eight_rates;
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    const ScalePoint serial = measure(1);
+    const ScalePoint eight = measure(8);
+    identical = identical && serial.digests == points.front().digests &&
+                eight.digests == points.front().digests;
+    ratios.push_back(serial.events_per_sec > 0
+                         ? eight.events_per_sec / serial.events_per_sec
+                         : 0);
+    eight_rates.push_back(eight.events_per_sec);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double speedup8 = median(ratios);
+  std::printf("8-worker speedup over %zu interleaved pairs:", kPairs);
+  for (const double r : ratios) std::printf(" %.2fx", r);
+  std::printf(" (median %.2fx)\n", speedup8);
   std::uint64_t total_events = 0;
-  for (const ReplicaDigest& d : serial.digests) total_events += d.events;
+  for (const ReplicaDigest& d : points.front().digests) total_events += d.events;
 
   results.set_sweep_info(
       sim::par::resolve_jobs(bench::parse_jobs(argc, argv)), cores);
-  results.add("agg_events_per_sec", eight.events_per_sec, "events/s");
+  results.add("agg_events_per_sec", median(eight_rates), "events/s");
   results.add("speedup_8w", speedup8, "x");
   results.add("replica_events", static_cast<double>(total_events), "events");
 
@@ -146,9 +167,9 @@ int main(int argc, char** argv) {
   const double expected = static_cast<double>(cores < 8 ? cores : 8);
   char claim[160];
   std::snprintf(claim, sizeof(claim),
-                "8 workers deliver %.2fx over serial (%zu-core host, "
-                "bar %.2fx)",
-                speedup8, cores, 0.6 * expected);
+                "8 workers deliver %.2fx over serial (median of %zu "
+                "interleaved pairs, %zu-core host, bar %.2fx)",
+                speedup8, kPairs, cores, 0.6 * expected);
   bench::verdict(speedup8 >= 0.6 * expected, claim);
   bench::verdict(identical,
                  "merged replica digests are bit-identical at jobs "

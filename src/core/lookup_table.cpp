@@ -118,18 +118,9 @@ std::uint64_t LookupTablePrimitive::install_entry(
     std::span<std::uint8_t> region, std::size_t entry_bytes,
     std::span<const std::uint8_t> key, const Action& action,
     std::uint64_t seed) {
-  const std::size_t n_entries = region.size() / entry_bytes;
-  const std::uint64_t idx = index_for_key(key, n_entries, seed);
-
-  std::vector<std::uint8_t> buf;
-  buf.reserve(kLenOffset);
-  net::ByteWriter w(buf);
-  action.serialize(w);
-  w.u64(key_check_hash(key));
-
-  auto slot = region.subspan(idx * entry_bytes, entry_bytes);
-  std::copy(buf.begin(), buf.end(), slot.begin());
-  return idx;
+  // One shard: the whole region, and the slot is the table index.
+  return install_entry_sharded({&region, 1}, entry_bytes, key, action, seed)
+      .second;
 }
 
 std::pair<std::size_t, std::uint64_t>
@@ -144,12 +135,9 @@ LookupTablePrimitive::install_entry_sharded(
   const std::size_t shard = idx % regions.size();
   const std::uint64_t slot = idx / regions.size();
 
-  std::vector<std::uint8_t> buf;
-  net::ByteWriter w(buf);
+  net::ByteWriter w(regions[shard].subspan(slot * entry_bytes, entry_bytes));
   action.serialize(w);
   w.u64(key_check_hash(key));
-  auto dst = regions[shard].subspan(slot * entry_bytes, entry_bytes);
-  std::copy(buf.begin(), buf.end(), dst.begin());
   return {shard, slot};
 }
 
@@ -244,12 +232,7 @@ void LookupTablePrimitive::remote_lookup(PipelineContext& ctx,
       ctx.drop();
       return;
     }
-    std::vector<std::uint8_t> deposit;
-    deposit.reserve(4 + ctx.packet.size());
-    net::ByteWriter w(deposit);
-    w.u32(static_cast<std::uint32_t>(ctx.packet.size()));
-    w.bytes(ctx.packet.bytes());
-    channel.post_write(va + kLenOffset, deposit);
+    channel.post_frame(va + kLenOffset, ctx.packet.bytes(), /*ack_req=*/false);
 
     const roce::Psn psn = channel.post_read(
         va, static_cast<std::uint32_t>(config_.entry_bytes));
@@ -280,62 +263,25 @@ void LookupTablePrimitive::handle_response(std::size_t shard,
   channels_.note_ok(shard);
   channels_.at(shard).trace_complete(msg.bth.psn);
 
-  if (config_.mode == Mode::kBounce) {
-    try {
-      net::ByteReader r(msg.payload);
-      const Action action = Action::parse(r);
-      if (action.kind == Action::Kind::kNone) {
-        ++stats_.no_entry_drops;  // empty slot: no entry installed
-        // The deposited frame is still in the entry's packet slot —
-        // recover the key from it so the absence itself can be cached.
-        if (fill && cache_.enabled() && config_.negative_ttl > 0) {
-          r.u64();  // key-check of an empty slot: zeros, skip
-          const std::uint32_t len = r.u32();
-          const auto frame = r.bytes(len);
-          net::Packet deposited(
-              std::vector<std::uint8_t>(frame.begin(), frame.end()));
-          if (auto key = config_.key_fn(deposited)) {
-            cache_store_negative(*key, shard);
-          }
-        }
-        return;
-      }
-      const std::uint64_t stored_check = r.u64();
-      const std::uint32_t len = r.u32();
-      const auto frame = r.bytes(len);
-      net::Packet packet(
-          std::vector<std::uint8_t>(frame.begin(), frame.end()));
-
-      auto key = config_.key_fn(packet);
-      if (!key || key_check_hash(*key) != stored_check) {
-        ++stats_.collision_drops;
-        return;
-      }
-      if (fill) cache_store(*key, action, shard);
-      auto egress = apply_action(action, packet);
-      if (egress) {
-        switch_->inject(std::move(packet), *egress);
-      }
-    } catch (const net::BufferError&) {
-      ++stats_.lost_responses;
-    }
-    return;
-  }
-
-  // Recirculate mode.
-  net::Packet packet = std::move(lookup->payload.held);
+  // Bounce mode deposited the packet in the entry's packet slot, so it
+  // comes back inside the response (as a view of the response frame's
+  // bytes); recirculate mode held it here.
+  const bool bounce = config_.mode == Mode::kBounce;
+  net::Packet packet = bounce ? net::Packet{} : std::move(lookup->payload.held);
   try {
     net::ByteReader r(msg.payload);
     const Action action = Action::parse(r);
+    const std::uint64_t stored_check = r.u64();
+    if (bounce) packet = unwrap_frame(msg.payload, kLenOffset);
     if (action.kind == Action::Kind::kNone) {
       ++stats_.no_entry_drops;  // empty slot: no entry installed
-      // Recirc mode held the original packet, so the key is at hand.
-      if (auto key = config_.key_fn(packet); key && fill) {
-        cache_store_negative(*key, shard);
+      // The packet is at hand either way, so the absence of its key can
+      // itself be cached.
+      if (fill && cache_.enabled() && config_.negative_ttl > 0) {
+        if (auto key = config_.key_fn(packet)) cache_store_negative(*key, shard);
       }
       return;
     }
-    const std::uint64_t stored_check = r.u64();
     auto key = config_.key_fn(packet);
     if (!key || key_check_hash(*key) != stored_check) {
       ++stats_.collision_drops;

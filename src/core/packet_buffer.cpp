@@ -120,19 +120,13 @@ void PacketBufferPrimitive::store_packet(const net::Packet& packet) {
     ++stats_.ring_full_drops;  // remote buffer exhausted: best-effort drop
     return;
   }
-  std::vector<std::uint8_t> entry;
-  entry.reserve(4 + packet.size());
-  net::ByteWriter w(entry);
-  w.u32(static_cast<std::uint32_t>(packet.size()));
-  w.bytes(packet.bytes());
-
   const auto stripe = channels_.route(head_);
   if (!stripe) {
     if (config_.reliable_stores) {
       // Defer, don't drop: the slot is allocated *now* so global FIFO
       // order over the stripes survives, and the entry posts when the
       // stripe revives.
-      deferred_stores_.emplace(head_, std::move(entry));
+      deferred_stores_.emplace(head_, packet.storage());
       ++head_;
       ++stats_.deferred_stores;
       const std::int64_t d = static_cast<std::int64_t>(head_ - tail_);
@@ -150,12 +144,13 @@ void PacketBufferPrimitive::store_packet(const net::Packet& packet) {
   }
 
   if (config_.reliable_stores) {
-    const roce::Psn psn = channels_.at(*stripe).post_write(
-        slot_va(head_), entry, /*ack_req=*/true);
-    writes_.add(*stripe, psn, SlotWrite{head_, std::move(entry)});
+    const roce::Psn psn = channels_.at(*stripe).post_frame(
+        slot_va(head_), packet.bytes(), /*ack_req=*/true);
+    writes_.add(*stripe, psn, SlotWrite{head_, packet.storage()});
     clock_.arm();
   } else {
-    channels_.at(*stripe).post_write(slot_va(head_), entry);
+    channels_.at(*stripe).post_frame(slot_va(head_), packet.bytes(),
+                                     /*ack_req=*/false);
   }
   ++head_;
   ++stats_.stored;
@@ -226,13 +221,10 @@ void PacketBufferPrimitive::handle_response(std::size_t channel_index,
     channels_.note_ok(channel_index);
     channels_.at(channel_index).trace_complete(msg.bth.psn);
 
-    // Decapsulate [u32 len][frame] back into the original packet.
+    // Decapsulate [u32 len][frame] back into the original packet: a
+    // view of the response frame's bytes, not a copy.
     try {
-      net::ByteReader r(msg.payload);
-      const std::uint32_t len = r.u32();
-      const auto frame = r.bytes(len);
-      net::Packet packet(
-          std::vector<std::uint8_t>(frame.begin(), frame.end()));
+      net::Packet packet = unwrap_frame(msg.payload, 0);
       packet.meta().from_remote_buffer = true;
       reorder_.emplace(slot, std::move(packet));
     } catch (const net::BufferError&) {
@@ -301,8 +293,8 @@ void PacketBufferPrimitive::on_health_change(std::size_t shard,
       // idempotently).
       writes_.for_each(shard, [&](auto& w) {
         w.retransmitted = true;
-        channels_.at(shard).repost_write(slot_va(w.payload.slot),
-                                         w.payload.entry, w.psn);
+        channels_.at(shard).repost_frame(slot_va(w.payload.slot),
+                                         w.payload.frame.bytes(), w.psn);
         ++stats_.write_retries;
       });
       // Post the entries that were parked while the stripe was down.
@@ -312,8 +304,8 @@ void PacketBufferPrimitive::on_health_change(std::size_t shard,
           ++it;
           continue;
         }
-        const roce::Psn psn = channels_.at(shard).post_write(
-            slot_va(it->first), it->second, /*ack_req=*/true);
+        const roce::Psn psn = channels_.at(shard).post_frame(
+            slot_va(it->first), it->second.bytes(), /*ack_req=*/true);
         writes_.add(shard, psn, SlotWrite{it->first, std::move(it->second)});
         ++stats_.stored;
         posted = true;
@@ -439,8 +431,8 @@ void PacketBufferPrimitive::on_timeout() {
       if (!channels_.is_up(chan)) continue;
       writes_.for_each_through(chan, last_write[chan], [&](auto& w) {
         w.retransmitted = true;
-        channels_.at(chan).repost_write(slot_va(w.payload.slot),
-                                        w.payload.entry, w.psn);
+        channels_.at(chan).repost_frame(slot_va(w.payload.slot),
+                                        w.payload.frame.bytes(), w.psn);
         ++stats_.write_retries;
       });
     }

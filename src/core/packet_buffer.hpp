@@ -199,20 +199,21 @@ class PacketBufferPrimitive {
 
   std::uint64_t next_read_slot_ = 0;  // next slot to request (monotonic)
   /// One clock, two windows per stripe: outstanding READs, and entry
-  /// WRITEs awaiting their ACK (reliable stores only; the bytes are kept
-  /// for retransmission). Each window holds its stripe's slots in order.
+  /// WRITEs awaiting their ACK (reliable stores only; the packet's bytes
+  /// are kept — a refcount, not a copy — for retransmission). Each window
+  /// holds its stripe's slots in order.
   struct SlotRead {
     std::uint64_t slot = 0;
   };
   struct SlotWrite {
     std::uint64_t slot = 0;
-    std::vector<std::uint8_t> entry;
+    net::ByteSlice frame;
   };
   RecoveryClock clock_;
   OpWindow<SlotRead> reads_;
   OpWindow<SlotWrite> writes_;
-  /// slot -> entry bytes parked while the slot's stripe is down.
-  std::map<std::uint64_t, std::vector<std::uint8_t>> deferred_stores_;
+  /// slot -> frame parked while the slot's stripe is down.
+  std::map<std::uint64_t, net::ByteSlice> deferred_stores_;
   /// Duplicate NAK frames have no inflight entry to no-op against.
   DedupWindow nak_dedup_;
   /// slot -> recovered frame; an empty Packet is a *hole* (that slot's

@@ -1,20 +1,36 @@
 // Shared plumbing for the three remote-memory primitives.
 #pragma once
 
-#include <optional>
-
+#include "net/bytes.hpp"
 #include "roce/packet.hpp"
 #include "switchsim/pipeline.hpp"
 
 namespace xmem::core {
 
-/// Parse the packet in `ctx` as RoCE, cheaply rejecting non-RoCE frames
-/// first. Primitives call this at the top of their stage to recognize
-/// responses from their memory server.
-[[nodiscard]] inline std::optional<roce::RoceMessage> roce_view(
-    const switchsim::PipelineContext& ctx) {
-  if (!ctx.headers || !ctx.headers->is_roce_v2()) return std::nullopt;
-  return roce::parse_roce_packet(ctx.packet);
+/// The RoCE message in `ctx`, or nullptr for a frame that is not RoCEv2
+/// or fails its ICRC. The first call of a pass parses the transport
+/// headers over `ctx.headers` and verifies the ICRC; every later stage
+/// gets the same message back. Primitives call this at the top of their
+/// stage to recognize responses from their memory server.
+[[nodiscard]] inline const roce::RoceMessage* roce_view(
+    switchsim::PipelineContext& ctx) {
+  if (!ctx.roce_parsed) {
+    ctx.roce_parsed = true;
+    if (ctx.headers) ctx.roce = roce::parse_roce_packet(ctx.packet, *ctx.headers);
+  }
+  return ctx.roce ? &*ctx.roce : nullptr;
+}
+
+/// The frame of the `[u32 len][frame]` record (RdmaChannel::post_frame)
+/// at `offset` in `bytes`, as a packet sharing their storage with fresh
+/// metadata: nothing of the carrying frame is inherited. Throws
+/// net::BufferError when the record overruns `bytes`.
+[[nodiscard]] inline net::Packet unwrap_frame(const net::ByteSlice& bytes,
+                                              std::size_t offset) {
+  net::ByteReader r(bytes.bytes());
+  r.skip(offset);
+  const std::uint32_t len = r.u32();
+  return net::Packet(bytes.slice(r.position(), len));
 }
 
 }  // namespace xmem::core

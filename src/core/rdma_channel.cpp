@@ -1,12 +1,24 @@
 #include "core/rdma_channel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 namespace xmem::core {
 
 using roce::Opcode;
 using roce::RoceMessage;
+
+namespace {
+
+/// The `[u32 len]` head of a post_frame() record.
+std::array<std::uint8_t, 4> length_prefix(std::size_t len) {
+  std::array<std::uint8_t, 4> prefix{};
+  net::ByteWriter(prefix).u32(static_cast<std::uint32_t>(len));
+  return prefix;
+}
+
+}  // namespace
 
 RdmaChannel::RdmaChannel(switchsim::ProgrammableSwitch& sw,
                          control::RdmaChannelConfig config)
@@ -133,29 +145,30 @@ void RdmaChannel::trace_annotate(roce::Psn psn, std::string_view key,
   if (tracer_ != nullptr) tracer_->annotate(track_, psn, key, value);
 }
 
-void RdmaChannel::inject(RoceMessage msg) {
+void RdmaChannel::inject(const RoceMessage& msg,
+                         std::span<const std::span<const std::uint8_t>> payload) {
+  net::Packet frame =
+      roce::build_roce_packet(config_.local, config_.remote, msg, payload);
   if (!cc_ || !cc_->in_recovery()) {
     // Uncongested (or CC off): wire-speed injection, byte-identical to
     // the pre-pacing code path.
-    send_now(std::move(msg));
+    send_now(std::move(frame));
     return;
   }
   const sim::Time now = switch_->simulator().now();
   if (paced_.empty() && now >= next_send_at_) {
-    send_now(std::move(msg));
+    send_now(std::move(frame));
     return;
   }
   ++stats_.paced_deferrals;
-  paced_.push_back(std::move(msg));
+  paced_.push_back(std::move(frame));
   if (!drain_event_.pending()) {
     drain_event_ = switch_->simulator().schedule_at(
         std::max(next_send_at_, now), [this] { drain_paced(); });
   }
 }
 
-void RdmaChannel::send_now(RoceMessage msg) {
-  net::Packet frame =
-      roce::build_roce_packet(config_.local, config_.remote, std::move(msg));
+void RdmaChannel::send_now(net::Packet&& frame) {
   const auto bytes = static_cast<std::int64_t>(frame.size());
   stats_.request_bytes += bytes;
   if (cc_ && cc_->in_recovery()) {
@@ -174,9 +187,9 @@ void RdmaChannel::drain_paced() {
   // inside send_now() can end recovery mid-drain, after which the rest
   // of the backlog flushes at wire speed.
   while (!paced_.empty() && (now >= next_send_at_ || !cc_->in_recovery())) {
-    RoceMessage msg = std::move(paced_.front());
+    net::Packet frame = std::move(paced_.front());
     paced_.pop_front();
-    send_now(std::move(msg));
+    send_now(std::move(frame));
   }
   if (!paced_.empty()) {
     drain_event_ = switch_->simulator().schedule_at(next_send_at_,
@@ -184,63 +197,86 @@ void RdmaChannel::drain_paced() {
   }
 }
 
+RoceMessage RdmaChannel::request(Opcode op, roce::Psn psn) const {
+  RoceMessage msg;
+  msg.bth.opcode = op;
+  msg.bth.dest_qp = config_.remote_qpn;
+  msg.bth.psn = psn;
+  return msg;
+}
+
 roce::Psn RdmaChannel::post_write(std::uint64_t va,
                                   std::span<const std::uint8_t> payload,
                                   bool ack_req) {
+  return post_gathered(va, {}, payload, ack_req);
+}
+
+roce::Psn RdmaChannel::post_frame(std::uint64_t va,
+                                  std::span<const std::uint8_t> frame,
+                                  bool ack_req) {
+  return post_gathered(va, length_prefix(frame.size()), frame, ack_req);
+}
+
+roce::Psn RdmaChannel::post_gathered(std::uint64_t va,
+                                     std::span<const std::uint8_t> prefix,
+                                     std::span<const std::uint8_t> payload,
+                                     bool ack_req) {
   const roce::Psn first_psn = next_psn_;
-  const std::size_t mtu = config_.path_mtu;
+  const std::size_t total = prefix.size() + payload.size();
+  trace_begin("WRITE", first_psn, total);
   const std::size_t segments =
-      payload.empty() ? 1 : (payload.size() + mtu - 1) / mtu;
-  trace_begin("WRITE", first_psn, payload.size());
-
-  for (std::size_t i = 0; i < segments; ++i) {
-    RoceMessage msg;
-    msg.bth.dest_qp = config_.remote_qpn;
-    msg.bth.psn = roce::psn_add(first_psn, static_cast<std::uint32_t>(i));
-    const bool first = i == 0;
-    const bool last = i + 1 == segments;
-    if (segments == 1) {
-      msg.bth.opcode = Opcode::kRdmaWriteOnly;
-    } else if (first) {
-      msg.bth.opcode = Opcode::kRdmaWriteFirst;
-    } else if (last) {
-      msg.bth.opcode = Opcode::kRdmaWriteLast;
-    } else {
-      msg.bth.opcode = Opcode::kRdmaWriteMiddle;
-    }
-    msg.bth.ack_req = ack_req && last;
-    if (first) {
-      msg.reth = roce::Reth{va, config_.rkey,
-                            static_cast<std::uint32_t>(payload.size())};
-    }
-    const std::size_t offset = i * mtu;
-    const std::size_t chunk = std::min(mtu, payload.size() - offset);
-    msg.payload.assign(payload.begin() + static_cast<std::ptrdiff_t>(offset),
-                       payload.begin() +
-                           static_cast<std::ptrdiff_t>(offset + chunk));
-    inject(std::move(msg));
-  }
-
+      send_write(va, prefix, payload, ack_req, first_psn);
   next_psn_ = roce::psn_add(first_psn, static_cast<std::uint32_t>(segments));
   ++stats_.writes_sent;
-  stats_.payload_bytes += static_cast<std::int64_t>(payload.size());
+  stats_.payload_bytes += static_cast<std::int64_t>(total);
   // Unacknowledged WRITEs get no response: their span closes at injection
   // ("posted"), so fire-and-forget stores still appear on the timeline.
   if (!ack_req) trace_complete(first_psn, "posted");
   return first_psn;
 }
 
+std::size_t RdmaChannel::send_write(std::uint64_t va,
+                                    std::span<const std::uint8_t> prefix,
+                                    std::span<const std::uint8_t> payload,
+                                    bool ack_req, roce::Psn first_psn) {
+  const std::size_t mtu = config_.path_mtu;
+  const std::size_t total = prefix.size() + payload.size();
+  const std::size_t segments = total == 0 ? 1 : (total + mtu - 1) / mtu;
+  for (std::size_t i = 0; i < segments; ++i) {
+    const bool first = i == 0;
+    const bool last = i + 1 == segments;
+    const Opcode op = segments == 1 ? Opcode::kRdmaWriteOnly
+                      : first       ? Opcode::kRdmaWriteFirst
+                      : last        ? Opcode::kRdmaWriteLast
+                                    : Opcode::kRdmaWriteMiddle;
+    RoceMessage msg =
+        request(op, roce::psn_add(first_psn, static_cast<std::uint32_t>(i)));
+    msg.bth.ack_req = ack_req && last;
+    if (first) {
+      msg.reth = roce::Reth{va, config_.rkey, static_cast<std::uint32_t>(total)};
+    }
+    // This segment's bytes [offset, offset + chunk) of prefix ++ payload.
+    const std::size_t offset = i * mtu;
+    const std::size_t chunk = std::min(mtu, total - offset);
+    const std::size_t head = std::min(offset, prefix.size());
+    const std::size_t head_len = std::min(chunk, prefix.size() - head);
+    const std::size_t body = std::max(offset, prefix.size()) - prefix.size();
+    const std::array<std::span<const std::uint8_t>, 2> pieces{
+        prefix.subspan(head, head_len),
+        payload.subspan(body, chunk - head_len)};
+    inject(msg, pieces);
+  }
+  return segments;
+}
+
 roce::Psn RdmaChannel::post_read(std::uint64_t va, std::uint32_t len) {
-  RoceMessage msg;
-  msg.bth.opcode = Opcode::kRdmaReadRequest;
-  msg.bth.dest_qp = config_.remote_qpn;
-  msg.bth.psn = next_psn_;
+  RoceMessage msg = request(Opcode::kRdmaReadRequest, next_psn_);
   msg.reth = roce::Reth{va, config_.rkey, len};
   const roce::Psn psn = next_psn_;
   next_psn_ = roce::psn_add(next_psn_, read_segments(len));
   ++stats_.reads_sent;
   trace_begin("READ", psn, len);
-  inject(std::move(msg));
+  inject(msg);
   return psn;
 }
 
@@ -250,73 +286,54 @@ void RdmaChannel::reconfigure(control::RdmaChannelConfig config) {
   next_psn_ = config_.initial_psn;
 }
 
-void RdmaChannel::repost_write(std::uint64_t va,
-                               std::span<const std::uint8_t> payload,
-                               roce::Psn psn, bool ack_req) {
-  assert(payload.size() <= config_.path_mtu &&
-         "repost_write: payload exceeds one MTU");
-  RoceMessage msg;
-  msg.bth.opcode = Opcode::kRdmaWriteOnly;
-  msg.bth.dest_qp = config_.remote_qpn;
-  msg.bth.psn = psn;
-  msg.bth.ack_req = ack_req;
-  msg.reth = roce::Reth{va, config_.rkey,
-                        static_cast<std::uint32_t>(payload.size())};
-  msg.payload.assign(payload.begin(), payload.end());
+void RdmaChannel::repost_frame(std::uint64_t va,
+                               std::span<const std::uint8_t> frame,
+                               roce::Psn psn) {
+  const auto prefix = length_prefix(frame.size());
+  assert(prefix.size() + frame.size() <= config_.path_mtu &&
+         "repost_frame: record exceeds one MTU");
   trace_retransmit(psn);
-  inject(std::move(msg));
+  send_write(va, prefix, frame, /*ack_req=*/true, psn);
 }
 
 void RdmaChannel::repost_read(std::uint64_t va, std::uint32_t len,
                               roce::Psn psn) {
-  RoceMessage msg;
-  msg.bth.opcode = Opcode::kRdmaReadRequest;
-  msg.bth.dest_qp = config_.remote_qpn;
-  msg.bth.psn = psn;
+  RoceMessage msg = request(Opcode::kRdmaReadRequest, psn);
   msg.reth = roce::Reth{va, config_.rkey, len};
   trace_retransmit(psn);
-  inject(std::move(msg));
+  inject(msg);
 }
 
 roce::Psn RdmaChannel::post_fetch_add(std::uint64_t va, std::uint64_t add) {
-  RoceMessage msg;
-  msg.bth.opcode = Opcode::kFetchAdd;
-  msg.bth.dest_qp = config_.remote_qpn;
-  msg.bth.psn = next_psn_;
+  RoceMessage msg = request(Opcode::kFetchAdd, next_psn_);
   msg.atomic_eth = roce::AtomicEth{va, config_.rkey, add, 0};
   const roce::Psn psn = next_psn_;
   next_psn_ = roce::psn_add(next_psn_, 1);
   ++stats_.atomics_sent;
   trace_begin("FETCH_ADD", psn, 8);
-  inject(std::move(msg));
+  inject(msg);
   return psn;
 }
 
 roce::Psn RdmaChannel::post_compare_swap(std::uint64_t va,
                                          std::uint64_t compare,
                                          std::uint64_t swap) {
-  RoceMessage msg;
-  msg.bth.opcode = Opcode::kCompareSwap;
-  msg.bth.dest_qp = config_.remote_qpn;
-  msg.bth.psn = next_psn_;
+  RoceMessage msg = request(Opcode::kCompareSwap, next_psn_);
   msg.atomic_eth = roce::AtomicEth{va, config_.rkey, swap, compare};
   const roce::Psn psn = next_psn_;
   next_psn_ = roce::psn_add(next_psn_, 1);
   ++stats_.atomics_sent;
   trace_begin("CMP_SWAP", psn, 8);
-  inject(std::move(msg));
+  inject(msg);
   return psn;
 }
 
 void RdmaChannel::repost_fetch_add(std::uint64_t va, std::uint64_t add,
                                    roce::Psn psn) {
-  RoceMessage msg;
-  msg.bth.opcode = Opcode::kFetchAdd;
-  msg.bth.dest_qp = config_.remote_qpn;
-  msg.bth.psn = psn;
+  RoceMessage msg = request(Opcode::kFetchAdd, psn);
   msg.atomic_eth = roce::AtomicEth{va, config_.rkey, add, 0};
   trace_retransmit(psn);
-  inject(std::move(msg));
+  inject(msg);
 }
 
 }  // namespace xmem::core

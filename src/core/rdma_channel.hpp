@@ -77,6 +77,12 @@ class RdmaChannel {
   roce::Psn post_write(std::uint64_t va,
                        std::span<const std::uint8_t> payload,
                        bool ack_req = false);
+  /// WRITE `frame` as a `[u32 len][frame]` record at `va`: the layout of
+  /// a packet-buffer slot and of a lookup entry's deposit. The length
+  /// and the frame are gathered straight into the request frames, which
+  /// are the only copy made.
+  roce::Psn post_frame(std::uint64_t va, std::span<const std::uint8_t> frame,
+                       bool ack_req);
 
   /// Craft and inject an RDMA READ request for [va, va+len).
   /// Returns the PSN of the request; the response's first packet carries
@@ -87,11 +93,11 @@ class RdmaChannel {
   /// Does not advance the PSN register.
   void repost_read(std::uint64_t va, std::uint32_t len, roce::Psn psn);
 
-  /// Retransmit a single-segment WRITE with its original PSN (reliable
-  /// stores). Does not advance the PSN register; the payload must fit in
-  /// one MTU so the repost is self-contained (ONLY opcode).
-  void repost_write(std::uint64_t va, std::span<const std::uint8_t> payload,
-                    roce::Psn psn, bool ack_req = true);
+  /// Retransmit a post_frame() record with its original PSN, acked
+  /// (reliable stores). Does not advance the PSN register; the record
+  /// must fit in one MTU so the repost is self-contained (ONLY opcode).
+  void repost_frame(std::uint64_t va, std::span<const std::uint8_t> frame,
+                    roce::Psn psn);
 
   /// Craft and inject an atomic Fetch-and-Add of `add` at `va`.
   /// Returns the PSN used (the AtomicAck echoes it).
@@ -146,10 +152,26 @@ class RdmaChannel {
                       std::string_view value);
 
  private:
-  void inject(roce::RoceMessage msg);
-  /// Build the frame and hand it to the switch unconditionally, charging
-  /// the pacer clock when CC is in recovery.
-  void send_now(roce::RoceMessage msg);
+  /// A request of opcode `op` on this channel's queue pair.
+  [[nodiscard]] roce::RoceMessage request(roce::Opcode op,
+                                          roce::Psn psn) const;
+  /// post_write() of `prefix` followed by `payload`.
+  roce::Psn post_gathered(std::uint64_t va,
+                          std::span<const std::uint8_t> prefix,
+                          std::span<const std::uint8_t> payload, bool ack_req);
+  /// Inject the WRITE segments of `prefix` ++ `payload` from `first_psn`,
+  /// each frame gathered straight from the two spans. Returns the count.
+  std::size_t send_write(std::uint64_t va,
+                         std::span<const std::uint8_t> prefix,
+                         std::span<const std::uint8_t> payload, bool ack_req,
+                         roce::Psn first_psn);
+  /// Build `msg`'s frame, its payload gathered from `payload`, and send
+  /// it (or queue it behind the pacer).
+  void inject(const roce::RoceMessage& msg,
+              std::span<const std::span<const std::uint8_t>> payload = {});
+  /// Hand a built frame to the switch unconditionally, charging the
+  /// pacer clock when CC is in recovery.
+  void send_now(net::Packet&& frame);
   void drain_paced();
   void arm_cc_timers();
   void on_alpha_tick();
@@ -165,12 +187,13 @@ class RdmaChannel {
   Stats stats_;
 
   /// DCQCN reaction point + token pacer. `next_send_at_` is the earliest
-  /// time the next paced frame may leave; requests arriving sooner queue
-  /// in `paced_` and drain via `drain_event_`. Timers only run while the
+  /// time the next paced frame may leave; frames posted sooner queue
+  /// (already built: a frame depends only on its message) in `paced_`
+  /// and drain via `drain_event_`. Timers only run while the
   /// controller is in recovery (plus alpha decay until it quiesces), so
   /// a congestion-free channel schedules no events at all.
   std::optional<DcqcnRateController> cc_;
-  std::deque<roce::RoceMessage> paced_;
+  std::deque<net::Packet> paced_;
   sim::Time next_send_at_ = 0;
   sim::EventId drain_event_;
   sim::EventId alpha_event_;

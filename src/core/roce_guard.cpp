@@ -1,6 +1,6 @@
 #include "core/roce_guard.hpp"
 
-#include "roce/packet.hpp"
+#include "core/primitive.hpp"
 
 namespace xmem::core {
 
@@ -12,7 +12,7 @@ RoceGuard::RoceGuard(switchsim::ProgrammableSwitch& sw) {
 void RoceGuard::stage(switchsim::PipelineContext& ctx) {
   if (!ctx.headers || !ctx.headers->is_roce_v2()) return;
   ++stats_.checked;
-  if (!roce::parse_roce_packet(ctx.packet)) {
+  if (roce_view(ctx) == nullptr) {
     ++stats_.corrupt_dropped;
     ctx.drop();
     return;

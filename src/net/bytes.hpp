@@ -5,6 +5,7 @@
 // places where endianness is handled.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -19,48 +20,75 @@ class BufferError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Appends big-endian fields to a growable byte vector.
+/// Writes big-endian fields either appended to a growable byte vector or
+/// into a pre-sized span from its start. The span form is how frames are
+/// built: the caller sizes the buffer once and every field is a
+/// fixed-offset store, with no per-byte growth.
 class ByteWriter {
  public:
-  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(&out) {}
+  explicit ByteWriter(std::vector<std::uint8_t>& out)
+      : vec_(&out), pos_(out.size()) {}
+  /// Writing past the end of `out` throws BufferError.
+  explicit ByteWriter(std::span<std::uint8_t> out) : span_(out) {}
 
-  void u8(std::uint8_t v) { out_->push_back(v); }
+  void u8(std::uint8_t v) { *put(1) = v; }
   void u16(std::uint16_t v) {
-    out_->push_back(static_cast<std::uint8_t>(v >> 8));
-    out_->push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t* p = put(2);
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v);
   }
   void u24(std::uint32_t v) {
-    out_->push_back(static_cast<std::uint8_t>(v >> 16));
-    out_->push_back(static_cast<std::uint8_t>(v >> 8));
-    out_->push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t* p = put(3);
+    p[0] = static_cast<std::uint8_t>(v >> 16);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+    p[2] = static_cast<std::uint8_t>(v);
   }
   void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v));
+    std::uint8_t* p = put(4);
+    for (int i = 0; i < 4; ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+    }
   }
   void u64(std::uint64_t v) {
     u32(static_cast<std::uint32_t>(v >> 32));
     u32(static_cast<std::uint32_t>(v));
   }
   void bytes(std::span<const std::uint8_t> data) {
-    out_->insert(out_->end(), data.begin(), data.end());
+    std::copy(data.begin(), data.end(), put(data.size()));
   }
-  void zeros(std::size_t n) { out_->insert(out_->end(), n, 0); }
+  void zeros(std::size_t n) { std::fill_n(put(n), n, std::uint8_t{0}); }
 
-  /// Current length of the underlying buffer (for later patching).
-  [[nodiscard]] std::size_t size() const { return out_->size(); }
+  /// Bytes written so far, counting a vector's prior contents (the
+  /// offset later patches use).
+  [[nodiscard]] std::size_t size() const { return pos_; }
 
   /// Overwrite a previously written 16-bit field (length/checksum fixups).
   void patch_u16(std::size_t offset, std::uint16_t v) {
-    if (offset + 2 > out_->size()) {
+    if (offset + 2 > pos_) {
       throw BufferError("ByteWriter: patch_u16 out of range");
     }
-    (*out_)[offset] = static_cast<std::uint8_t>(v >> 8);
-    (*out_)[offset + 1] = static_cast<std::uint8_t>(v);
+    std::uint8_t* p = base() + offset;
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v);
   }
 
  private:
-  std::vector<std::uint8_t>* out_;
+  std::uint8_t* base() { return vec_ ? vec_->data() : span_.data(); }
+  /// Claim the next `n` bytes and return where they start.
+  std::uint8_t* put(std::size_t n) {
+    const std::size_t at = pos_;
+    if (vec_) {
+      vec_->resize(at + n);
+    } else if (n > span_.size() - at) {
+      throw BufferError("ByteWriter: write past end of buffer");
+    }
+    pos_ = at + n;
+    return base() + at;
+  }
+
+  std::vector<std::uint8_t>* vec_ = nullptr;
+  std::span<std::uint8_t> span_;
+  std::size_t pos_ = 0;
 };
 
 /// Reads big-endian fields from a byte span; throws BufferError on

@@ -21,10 +21,9 @@ Packet build_udp_packet(const MacAddress& src_mac, const MacAddress& dst_mac,
                         std::uint16_t src_port, std::uint16_t dst_port,
                         std::span<const std::uint8_t> payload,
                         std::uint8_t dscp) {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(kEthernetHeaderBytes + kIpv4HeaderBytes + kUdpHeaderBytes +
-              payload.size());
-  ByteWriter w(buf);
+  ByteSlice buf = ByteSlice::allocate(kEthernetHeaderBytes + kIpv4HeaderBytes +
+                                      kUdpHeaderBytes + payload.size());
+  ByteWriter w(buf.mutable_bytes());
 
   EthernetHeader eth;
   eth.dst = dst_mac;

@@ -26,9 +26,8 @@ PfcFrame pfc_xon(const MacAddress& src, int priority) {
 }
 
 Packet build_pfc_frame(const PfcFrame& pfc) {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(kEthernetMinFrame);
-  ByteWriter w(buf);
+  ByteSlice buf = ByteSlice::allocate(kEthernetMinFrame);
+  ByteWriter w(buf.mutable_bytes());
   EthernetHeader eth;
   eth.dst = kPauseDst;
   eth.src = pfc.src;
@@ -38,12 +37,19 @@ Packet build_pfc_frame(const PfcFrame& pfc) {
   w.u16(pfc.class_enable);
   for (int i = 0; i < 8; ++i) w.u16(pfc.quanta[i]);
   // Pad to the 60-byte Ethernet minimum.
-  while (buf.size() < kEthernetMinFrame) buf.push_back(0);
+  w.zeros(kEthernetMinFrame - w.size());
   return Packet(std::move(buf));
 }
 
 std::optional<PfcFrame> parse_pfc_frame(const Packet& packet) {
   if (packet.size() < kEthernetHeaderBytes + 2 + 2 + 16) return std::nullopt;
+  // Every frame a host receives comes through here: reject anything that
+  // is not MAC control from its EtherType alone, before parsing.
+  const auto b = packet.bytes();
+  if (((b[12] << 8) | b[13]) !=
+      static_cast<int>(EtherType::kFlowControl)) {
+    return std::nullopt;
+  }
   try {
     ByteReader r(packet.bytes());
     const EthernetHeader eth = EthernetHeader::parse(r);

@@ -146,19 +146,16 @@ void Rnic::note_ce_marked(QueuePair& qp) {
   ++qp.cnps_sent;
   ++stats_.cnps_sent;
   int_ingress_ = now;  // the CNP's NIC residency is instantaneous
-  transmit_response(
-      roce::build_roce_packet(self_, qp.remote, std::move(cnp)));
+  transmit_response(roce::build_roce_packet(self_, qp.remote, cnp));
 }
 
 void Rnic::pump() {
   if (serving_ || rx_queue_.empty()) return;
   serving_ = true;
-  RxItem item = std::move(rx_queue_.front());
+  in_service_ = std::move(rx_queue_.front());
   rx_queue_.pop_front();
-  // Compute the service time before the lambda capture moves the message:
-  // argument evaluation order is unspecified.
-  const sim::Time service = service_time(item.msg);
-  sim_->schedule_in(service, [this, item = std::move(item)]() {
+  sim_->schedule_in(service_time(in_service_.msg), [this]() {
+    const RxItem item = std::move(in_service_);
     int_ingress_ = item.arrival;
     execute(item.msg);
     serving_ = false;
@@ -261,6 +258,7 @@ void Rnic::execute_duplicate_write_only(QueuePair& qp,
   }
   MemoryRegion* region = memory_.find(msg.reth->rkey);
   if (!msg.payload.empty()) {
+    // The modelled DMA: payload slice -> DRAM, the one copy a WRITE makes.
     auto window = region->window(msg.reth->va, msg.payload.size());
     std::copy(msg.payload.begin(), msg.payload.end(), window.begin());
   }
@@ -308,6 +306,7 @@ void Rnic::execute_write(QueuePair& qp, const RoceMessage& msg) {
   MemoryRegion* region = memory_.find(rkey);
   assert(region != nullptr);  // checked at FIRST/ONLY
   if (!msg.payload.empty()) {
+    // The modelled DMA: payload slice -> DRAM, the one copy a WRITE makes.
     auto window = region->window(va, msg.payload.size());
     std::copy(msg.payload.begin(), msg.payload.end(), window.begin());
   }
@@ -415,7 +414,7 @@ void Rnic::send_ack(QueuePair& qp, roce::Psn psn, AckSyndrome syndrome,
       case AckSyndrome::kAck: break;  // unreachable
     }
   }
-  transmit_response(roce::build_roce_packet(self_, qp.remote, std::move(resp)));
+  transmit_response(roce::build_roce_packet(self_, qp.remote, resp));
 }
 
 void Rnic::send_read_response(QueuePair& qp, roce::Psn first_psn,
@@ -440,11 +439,13 @@ void Rnic::send_read_response(QueuePair& qp, roce::Psn first_psn,
     if (roce::has_aeth(resp.bth.opcode)) {
       resp.aeth = roce::Aeth{AckSyndrome::kAck, qp.msn};
     }
+    // The segment is built straight from the DRAM window: the response
+    // frame is the only copy of the data.
     const std::size_t offset = i * mtu;
-    const std::size_t chunk = std::min(mtu, data.size() - offset);
-    resp.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(offset),
-                        data.begin() + static_cast<std::ptrdiff_t>(offset + chunk));
-    transmit_response(roce::build_roce_packet(self_, qp.remote, std::move(resp)));
+    const std::span<const std::uint8_t> chunk =
+        data.subspan(offset, std::min(mtu, data.size() - offset));
+    transmit_response(
+        roce::build_roce_packet(self_, qp.remote, resp, {&chunk, 1}));
   }
 }
 

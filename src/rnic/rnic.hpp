@@ -191,6 +191,11 @@ class Rnic {
   };
 
   std::deque<RxItem> rx_queue_;
+  /// The request being served (valid while serving_). Held here rather
+  /// than in the service event's closure, which would not fit inline.
+  /// Not counted against rx_queue_depth, and survives set_alive(false)
+  /// and restart(): the op completes as dead_dropped / unknown-QP.
+  RxItem in_service_;
   bool serving_ = false;
   bool alive_ = true;
   std::uint64_t epoch_ = 0;

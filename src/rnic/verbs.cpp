@@ -122,6 +122,7 @@ void RcRequester::transmit_next_packet_of(Wqe& wqe) {
   const std::size_t mtu = nic_->profile().path_mtu;
   RoceMessage msg;
   msg.bth.dest_qp = remote_qpn_;
+  std::span<const std::uint8_t> payload;  // gathered straight into the frame
 
   switch (wqe.kind) {
     case WqeKind::kWrite: {
@@ -147,9 +148,8 @@ void RcRequester::transmit_next_packet_of(Wqe& wqe) {
         msg.reth = roce::Reth{wqe.remote_va, wqe.rkey,
                               static_cast<std::uint32_t>(wqe.data.size())};
       }
-      msg.payload.assign(
-          wqe.data.begin() + static_cast<std::ptrdiff_t>(offset),
-          wqe.data.begin() + static_cast<std::ptrdiff_t>(offset + chunk));
+      payload = std::span<const std::uint8_t>(wqe.data).subspan(
+          std::min(wqe.data.size(), offset), chunk);
       wqe.packets_sent = i + 1;
       sent_psn_ = roce::psn_add(wqe.first_psn, wqe.packets_sent);
       break;
@@ -177,8 +177,8 @@ void RcRequester::transmit_next_packet_of(Wqe& wqe) {
     }
   }
 
-  nic_->transmit(
-      roce::build_roce_packet(nic_->endpoint(), remote_, std::move(msg)));
+  nic_->transmit(roce::build_roce_packet(nic_->endpoint(), remote_, msg,
+                                         {&payload, 1}));
 }
 
 void RcRequester::on_response(const RoceMessage& msg) {

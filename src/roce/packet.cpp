@@ -20,7 +20,8 @@ std::size_t extension_bytes(const RoceMessage& msg) {
   return n;
 }
 
-void check_headers_match_opcode(const RoceMessage& msg) {
+void check_headers_match_opcode(const RoceMessage& msg,
+                                std::size_t payload_len) {
   const Opcode op = msg.opcode();
   if (has_reth(op) != msg.reth.has_value()) {
     throw std::invalid_argument("RoceMessage: RETH presence mismatch for " +
@@ -44,7 +45,7 @@ void check_headers_match_opcode(const RoceMessage& msg) {
     throw std::invalid_argument("RoceMessage: CnpETH presence mismatch for " +
                                 std::string(to_string(op)));
   }
-  if (!msg.payload.empty() && !has_payload(op)) {
+  if (payload_len > 0 && !has_payload(op)) {
     throw std::invalid_argument("RoceMessage: opcode carries no payload: " +
                                 std::string(to_string(op)));
   }
@@ -97,19 +98,28 @@ std::uint32_t compute_icrc(std::span<const std::uint8_t> frame,
   return net::crc32(frame.subspan(net::kEthernetHeaderBytes + masked), head);
 }
 
-net::Packet build_roce_packet(const RoceEndpoint& src, const RoceEndpoint& dst,
-                              RoceMessage msg, RoceVersion version) {
-  check_headers_match_opcode(msg);
+namespace {
 
-  const std::size_t pad = (4 - (msg.payload.size() % 4)) % 4;
-  msg.bth.pad_count = static_cast<std::uint8_t>(pad);
+/// The frame for `headers` (its payload ignored) carrying `payload`.
+net::Packet build_frame(const RoceEndpoint& src, const RoceEndpoint& dst,
+                        const RoceMessage& headers,
+                        std::span<const std::span<const std::uint8_t>> payload,
+                        RoceVersion version) {
+  std::size_t payload_len = 0;
+  for (const auto piece : payload) payload_len += piece.size();
+  check_headers_match_opcode(headers, payload_len);
 
-  const std::size_t transport_bytes = kBthBytes + extension_bytes(msg) +
-                                      msg.payload.size() + pad + kIcrcBytes;
-
-  std::vector<std::uint8_t> buf;
-  buf.reserve(net::kEthernetHeaderBytes + kGrhBytes + transport_bytes + 8);
-  net::ByteWriter w(buf);
+  const std::size_t pad = (4 - (payload_len % 4)) % 4;
+  const std::size_t transport_bytes = kBthBytes + extension_bytes(headers) +
+                                      payload_len + pad + kIcrcBytes;
+  const std::size_t routing =
+      version == RoceVersion::kV2
+          ? net::kIpv4HeaderBytes + net::kUdpHeaderBytes
+          : kGrhBytes;
+  net::ByteSlice buf = net::ByteSlice::allocate(net::kEthernetHeaderBytes +
+                                                routing + transport_bytes);
+  const std::span<std::uint8_t> frame = buf.mutable_bytes();
+  net::ByteWriter w(frame);
 
   net::EthernetHeader eth;
   eth.dst = dst.mac;
@@ -125,7 +135,7 @@ net::Packet build_roce_packet(const RoceEndpoint& src, const RoceEndpoint& dst,
     ip.protocol = static_cast<std::uint8_t>(net::IpProto::kUdp);
     ip.src = src.ip;
     ip.dst = dst.ip;
-    ip.ecn = msg.ecn;  // defaults to ECT(0): RoCEv2 runs ECN-capable
+    ip.ecn = headers.ecn;  // defaults to ECT(0): RoCEv2 runs ECN-capable
     ip.serialize(w);
 
     net::UdpHeader udp;
@@ -143,42 +153,30 @@ net::Packet build_roce_packet(const RoceEndpoint& src, const RoceEndpoint& dst,
     grh.serialize(w);
   }
 
-  msg.bth.serialize(w);
-  if (msg.reth) msg.reth->serialize(w);
-  if (msg.atomic_eth) msg.atomic_eth->serialize(w);
-  if (msg.aeth) msg.aeth->serialize(w);
-  if (msg.atomic_ack) msg.atomic_ack->serialize(w);
-  if (msg.cnp) msg.cnp->serialize(w);
-  w.bytes(msg.payload);
+  Bth bth = headers.bth;
+  bth.pad_count = static_cast<std::uint8_t>(pad);
+  bth.serialize(w);
+  if (headers.reth) headers.reth->serialize(w);
+  if (headers.atomic_eth) headers.atomic_eth->serialize(w);
+  if (headers.aeth) headers.aeth->serialize(w);
+  if (headers.atomic_ack) headers.atomic_ack->serialize(w);
+  if (headers.cnp) headers.cnp->serialize(w);
+  for (const auto piece : payload) w.bytes(piece);
   w.zeros(pad);
 
-  const std::uint32_t icrc = compute_icrc(buf, version);
-  w.u32(icrc);
-
+  w.u32(compute_icrc(frame.first(w.size()), version));
   return net::Packet(std::move(buf));
 }
 
-std::optional<RoceMessage> parse_roce_packet(const net::Packet& p) {
+/// Parse the transport headers starting at `offset` (just past the
+/// routing header) and verify the ICRC over the whole frame.
+std::optional<RoceMessage> parse_transport(const net::Packet& p,
+                                           std::size_t offset,
+                                           RoceVersion version,
+                                           net::Ecn ecn) {
   try {
     net::ByteReader r(p.bytes());
-    const auto eth = net::EthernetHeader::parse(r);
-
-    RoceVersion version;
-    net::Ecn ecn = net::Ecn::kEct0;
-    if (eth.type() == net::EtherType::kIpv4) {
-      const auto ip = net::Ipv4Header::parse(r);
-      if (ip.proto() != net::IpProto::kUdp) return std::nullopt;
-      const auto udp = net::UdpHeader::parse(r);
-      if (udp.dst_port != net::kRoceV2Port) return std::nullopt;
-      ecn = ip.ecn;
-      version = RoceVersion::kV2;
-    } else if (eth.type() == net::EtherType::kRoceV1) {
-      Grh::parse(r);
-      version = RoceVersion::kV1;
-    } else {
-      return std::nullopt;
-    }
-
+    r.skip(offset);
     if (r.remaining() < kBthBytes + kIcrcBytes) return std::nullopt;
 
     // Validate ICRC before trusting anything else.
@@ -202,12 +200,60 @@ std::optional<RoceMessage> parse_roce_packet(const net::Packet& p) {
     if (r.remaining() < tail) return std::nullopt;
     const std::size_t payload_len = r.remaining() - tail;
     if (payload_len > 0 && !has_payload(op)) return std::nullopt;
-    const auto payload = r.bytes(payload_len);
-    msg.payload.assign(payload.begin(), payload.end());
+    msg.payload = p.storage().slice(r.position(), payload_len);
     return msg;
   } catch (const net::BufferError&) {
     return std::nullopt;  // malformed: treated as line noise and dropped
   }
+}
+
+}  // namespace
+
+net::Packet build_roce_packet(const RoceEndpoint& src, const RoceEndpoint& dst,
+                              const RoceMessage& msg, RoceVersion version) {
+  const std::span<const std::uint8_t> payload = msg.payload.bytes();
+  return build_frame(src, dst, msg, {&payload, 1}, version);
+}
+
+net::Packet build_roce_packet(
+    const RoceEndpoint& src, const RoceEndpoint& dst,
+    const RoceMessage& headers,
+    std::span<const std::span<const std::uint8_t>> payload,
+    RoceVersion version) {
+  if (!headers.payload.empty()) {
+    throw std::invalid_argument(
+        "build_roce_packet: gathered payload beside a message payload");
+  }
+  return build_frame(src, dst, headers, payload, version);
+}
+
+std::optional<RoceMessage> parse_roce_packet(const net::Packet& p) {
+  try {
+    net::ByteReader r(p.bytes());
+    const auto eth = net::EthernetHeader::parse(r);
+    if (eth.type() == net::EtherType::kIpv4) {
+      const auto ip = net::Ipv4Header::parse(r);
+      if (ip.proto() != net::IpProto::kUdp) return std::nullopt;
+      const auto udp = net::UdpHeader::parse(r);
+      if (udp.dst_port != net::kRoceV2Port) return std::nullopt;
+      return parse_transport(p, r.position(), RoceVersion::kV2, ip.ecn);
+    }
+    if (eth.type() == net::EtherType::kRoceV1) {
+      Grh::parse(r);
+      return parse_transport(p, r.position(), RoceVersion::kV1,
+                             net::Ecn::kEct0);
+    }
+    return std::nullopt;
+  } catch (const net::BufferError&) {
+    return std::nullopt;  // malformed: treated as line noise and dropped
+  }
+}
+
+std::optional<RoceMessage> parse_roce_packet(const net::Packet& p,
+                                             const net::ParsedPacket& headers) {
+  if (!headers.is_roce_v2()) return std::nullopt;
+  return parse_transport(p, headers.l4_payload_offset, RoceVersion::kV2,
+                         headers.ipv4->ecn);
 }
 
 std::size_t roce_overhead_bytes(Opcode op, RoceVersion version) {

@@ -3,8 +3,10 @@
 // A RoceMessage is the logical content of one RoCE packet: BTH, whichever
 // extension headers the opcode requires, and an (unpadded) payload.
 // build_roce_packet() produces the byte-exact frame — Ethernet + (IPv4 +
-// UDP | GRH) + transport headers + padded payload + ICRC — and
-// parse_roce_packet() reverses it, validating the ICRC.
+// UDP | GRH) + transport headers + padded payload + ICRC — in one
+// allocation, copying the payload once; parse_roce_packet() reverses it,
+// validating the ICRC, and copies nothing: the parsed payload is a
+// copy-on-write slice of the frame's own bytes.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +42,9 @@ struct RoceMessage {
   std::optional<Aeth> aeth;
   std::optional<AtomicAckEth> atomic_ack;
   std::optional<CnpEth> cnp;
-  std::vector<std::uint8_t> payload;
+  /// Unpadded payload. A parsed message's payload is a view into the
+  /// frame it came from, valid for as long as the message lives.
+  net::ByteSlice payload;
   /// ECN codepoint of the enclosing IP header. build_roce_packet() emits
   /// it (RoCEv2 frames default to ECT(0), so switch queues may CE-mark
   /// them); parse_roce_packet() recovers it, which is how a responder
@@ -56,15 +60,33 @@ struct RoceMessage {
 /// opcode (throws std::invalid_argument otherwise).
 [[nodiscard]] net::Packet build_roce_packet(const RoceEndpoint& src,
                                             const RoceEndpoint& dst,
-                                            RoceMessage msg,
+                                            const RoceMessage& msg,
                                             RoceVersion version =
                                                 RoceVersion::kV2);
+
+/// As above, with the payload gathered from `payload`'s pieces back to
+/// back instead of `headers.payload` (which must be empty; throws
+/// std::invalid_argument otherwise). A requester posting from its own
+/// buffers, or a responder answering from DRAM, builds the frame straight
+/// from the source bytes: the frame is the payload's only copy.
+[[nodiscard]] net::Packet build_roce_packet(
+    const RoceEndpoint& src, const RoceEndpoint& dst,
+    const RoceMessage& headers,
+    std::span<const std::span<const std::uint8_t>> payload,
+    RoceVersion version = RoceVersion::kV2);
 
 /// Parse a frame. Returns nullopt if the frame is not RoCE at all (wrong
 /// EtherType / UDP port) or if the ICRC does not verify (treated as wire
 /// corruption: real RNICs silently drop such packets).
 [[nodiscard]] std::optional<RoceMessage> parse_roce_packet(
     const net::Packet& p);
+
+/// As above for a frame whose Ethernet/IPv4/UDP headers were already
+/// parsed into `headers` (IPv4 checksum included): only the transport
+/// headers are parsed and the ICRC verified. nullopt unless `headers`
+/// is RoCEv2.
+[[nodiscard]] std::optional<RoceMessage> parse_roce_packet(
+    const net::Packet& p, const net::ParsedPacket& headers);
 
 /// On-wire header+trailer overhead for one request of the given opcode,
 /// excluding Ethernet framing: routing/transport headers plus ICRC.

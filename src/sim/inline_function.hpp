@@ -5,8 +5,9 @@
 // [this, End, Packet]). std::function boxes anything larger than ~16 bytes on
 // the heap; InlineFunction keeps captures up to kInlineBytes inline, so the
 // common schedule_in() path never touches the allocator. 96 bytes is sized to
-// hold the hottest lambda in the tree (Link::ship: a 16-byte End plus an
-// 88-byte copy-on-write Packet capture) with room to spare.
+// hold the hottest lambdas in the tree exactly (Link::ship: a 16-byte End
+// plus an 80-byte copy-on-write Packet; the switch's pipeline hop: `this`,
+// a Packet and a port); both sites static_assert fits_inline().
 //
 // Move-only on purpose: the queue is the sole owner of a scheduled callback,
 // and copyability is what forces std::function to heap-allocate shared state.
@@ -69,6 +70,15 @@ class InlineFunction {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+  /// True when a callable of type Fn is stored inline (no heap box). Hot
+  /// schedule sites static_assert this on their closure types.
+  template <typename Fn>
+  static constexpr bool fits_inline() {
+    return sizeof(Fn) <= kInlineBytes &&
+           alignof(Fn) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
+
   /// Destroy the held callable (if any) and return to the empty state.
   void reset() noexcept {
     if (ops_) {
@@ -85,13 +95,6 @@ class InlineFunction {
     void (*relocate)(void* from, void* to) noexcept;
     void (*destroy)(void* storage) noexcept;
   };
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
 
   template <typename Fn>
   static const Ops* inline_ops() {

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "net/packet.hpp"
+#include "roce/packet.hpp"
 #include "sim/time.hpp"
 
 namespace xmem::switchsim {
@@ -20,6 +21,12 @@ struct PipelineContext {
   net::Packet packet;
   /// Parsed header view; nullopt when the parser rejected the frame.
   std::optional<net::ParsedPacket> headers;
+  /// The RoCE message in `packet`, parsed and ICRC-verified at most once
+  /// per pass: core::roce_view fills it on first use and every later
+  /// stage shares it. nullopt with `roce_parsed` set means the frame is
+  /// not (valid) RoCE.
+  std::optional<roce::RoceMessage> roce;
+  bool roce_parsed = false;
   int ingress_port = kNoPort;
   int egress_port = kNoPort;
   sim::Time now = 0;

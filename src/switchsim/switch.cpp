@@ -100,30 +100,31 @@ void ProgrammableSwitch::pfc_broadcast(bool xoff) {
 void ProgrammableSwitch::receive(net::Packet&& packet, int port) {
   assert(ready() && "ProgrammableSwitch::setup() was not called");
   ++stats_.received;
-  PipelineContext ctx;
-  ctx.packet = std::move(packet);
-  ctx.ingress_port = port;
-  sim_->schedule_in(config_.pipeline_latency,
-                    [this, c = std::move(ctx)]() mutable {
-                      c.now = sim_->now();
-                      run_ingress(std::move(c));
-                    });
+  // The pipeline-latency hop carries just the packet and its port (the
+  // context is built when the pass runs), so it stays inside the event
+  // queue's inline closure storage instead of being heap-boxed.
+  auto pass = [this, p = std::move(packet), port]() mutable {
+    run_ingress(std::move(p), port);
+  };
+  static_assert(sim::InlineFunction::fits_inline<decltype(pass)>());
+  sim_->schedule_in(config_.pipeline_latency, std::move(pass));
 }
 
 void ProgrammableSwitch::recirculate(net::Packet&& packet) {
   assert(ready());
   ++stats_.recirculated;
-  PipelineContext ctx;
-  ctx.packet = std::move(packet);
-  ctx.ingress_port = kRecirculatePort;
-  sim_->schedule_in(config_.recirculate_latency,
-                    [this, c = std::move(ctx)]() mutable {
-                      c.now = sim_->now();
-                      run_ingress(std::move(c));
-                    });
+  auto pass = [this, p = std::move(packet)]() mutable {
+    run_ingress(std::move(p), kRecirculatePort);
+  };
+  static_assert(sim::InlineFunction::fits_inline<decltype(pass)>());
+  sim_->schedule_in(config_.recirculate_latency, std::move(pass));
 }
 
-void ProgrammableSwitch::run_ingress(PipelineContext ctx) {
+void ProgrammableSwitch::run_ingress(net::Packet&& packet, int port) {
+  PipelineContext ctx;
+  ctx.packet = std::move(packet);
+  ctx.ingress_port = port;
+  ctx.now = sim_->now();
   try {
     ctx.headers = net::parse_packet(ctx.packet);
   } catch (const net::BufferError&) {

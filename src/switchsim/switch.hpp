@@ -112,7 +112,7 @@ class ProgrammableSwitch : public topo::Node {
   void receive(net::Packet&& packet, int port) override;
 
  private:
-  void run_ingress(PipelineContext ctx);
+  void run_ingress(net::Packet&& packet, int port);
   void resolve_l2(PipelineContext& ctx);
   void enqueue_for_egress(net::Packet&& packet, int port);
   void service_port(int port);

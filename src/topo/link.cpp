@@ -73,11 +73,13 @@ bool Link::roll_loss() {
 }
 
 void Link::ship(const End& to, net::Packet&& packet, sim::Time when) {
-  sim_->schedule_at(when, [to, p = std::move(packet)]() mutable {
+  auto arrive = [to, p = std::move(packet)]() mutable {
     to.node->port(to.port).note_received(p);
     p.meta().ingress_port = to.port;
     to.node->receive(std::move(p), to.port);
-  });
+  };
+  static_assert(sim::InlineFunction::fits_inline<decltype(arrive)>());
+  sim_->schedule_at(when, std::move(arrive));
 }
 
 void Link::deliver(int from_end, net::Packet&& packet, sim::Time when_serialized) {

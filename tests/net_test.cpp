@@ -362,6 +362,75 @@ TEST(Packet, LazySliceDetachesOnMutationAfterDonorDies) {
   EXPECT_EQ(stub.bytes().size(), 4u);
 }
 
+Packet numbered_packet(std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) bytes[i] = static_cast<std::uint8_t>(i);
+  return Packet(std::move(bytes));
+}
+
+TEST(Packet, SliceOfASliceViewsTheRightBytesWithoutCopying) {
+  const Packet p = numbered_packet(200);
+  const Packet outer = p.slice(50, 100);  // bytes 50..149
+  const Packet inner = outer.slice(10, 20);  // bytes 60..79
+  ASSERT_EQ(inner.size(), 20u);
+  EXPECT_EQ(inner.bytes()[0], 60);
+  EXPECT_EQ(inner.bytes()[19], 79);
+  EXPECT_EQ(inner.bytes().data(), p.bytes().data() + 60);  // same storage
+  EXPECT_THROW((void)outer.slice(90, 11), BufferError);
+  EXPECT_EQ(outer.slice(100, 0).size(), 0u);
+}
+
+TEST(Packet, SliceGetsFreshMetadata) {
+  Packet p = numbered_packet(100);
+  p.meta().id = 7;
+  p.meta().priority = 3;
+  const Packet s = p.slice(10, 10);
+  EXPECT_EQ(s.meta().id, 0u);
+  EXPECT_EQ(s.meta().priority, 0);
+}
+
+TEST(Packet, MutatingASliceDetachesOnlyTheSlice) {
+  const Packet p = numbered_packet(200);
+  Packet s = p.slice(50, 10);
+  const auto view = s.mutable_bytes();
+  ASSERT_EQ(view.size(), 10u);
+  EXPECT_NE(view.data(), p.bytes().data() + 50);  // detached
+  EXPECT_EQ(view[0], 50);
+  EXPECT_EQ(view[9], 59);
+  view[0] = 0xee;
+  EXPECT_EQ(p.bytes()[50], 50);  // the donor never sees the write
+  EXPECT_EQ(s.bytes()[0], 0xee);
+}
+
+TEST(Packet, SliceDetachesOnMutationEvenOnceUnshared) {
+  // A slice outliving its donor is narrower than the storage it pins:
+  // mutation re-allocates it at its own size, like a lazy truncate.
+  Packet s;
+  const std::uint8_t* shared = nullptr;
+  {
+    const Packet donor = numbered_packet(1500);
+    s = donor.slice(100, 8);
+    shared = s.bytes().data();
+  }
+  EXPECT_NE(s.mutable_bytes().data(), shared);
+  EXPECT_EQ(s.bytes()[7], 107);
+}
+
+TEST(Packet, TruncateAndCloneOfASlice) {
+  const Packet p = numbered_packet(200);
+  Packet s = p.slice(20, 50);
+  Packet c = s.clone();
+  EXPECT_EQ(c.bytes().data(), s.bytes().data());  // refcount bump
+  c.truncate(5);  // shared with p and s: lazy
+  ASSERT_EQ(c.size(), 5u);
+  EXPECT_EQ(c.bytes().data(), s.bytes().data());
+  EXPECT_EQ(c.bytes()[4], 24);
+  EXPECT_EQ(s.size(), 50u);  // the clone's truncate leaves s whole
+  c.mutable_bytes()[0] = 0xaa;
+  EXPECT_EQ(s.bytes()[0], 20);
+  EXPECT_EQ(p.bytes()[20], 20);
+}
+
 TEST(Packet, RewriteDscpKeepsChecksumValid) {
   Packet p = build_udp_packet(MacAddress::from_index(1),
                               MacAddress::from_index(2),

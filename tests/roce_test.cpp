@@ -266,8 +266,9 @@ TEST(RocePacket, IcrcMatchesCopyAndMaskReference) {
       RoceMessage msg;
       msg.bth.opcode = Opcode::kRdmaWriteOnly;
       msg.bth.psn = Psn(static_cast<std::uint32_t>(rng.uniform(1u << 24)));
-      msg.payload.resize(rng.uniform(1500));
-      for (auto& b : msg.payload) b = static_cast<std::uint8_t>(rng.next());
+      std::vector<std::uint8_t> payload(rng.uniform(1500));
+      for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
+      msg.payload = std::move(payload);
       msg.reth = Reth{rng.next(), static_cast<std::uint32_t>(rng.next()),
                       static_cast<std::uint32_t>(msg.payload.size())};
       const net::Packet frame =
