@@ -6,9 +6,13 @@
 //
 // The EventQueue* and Packet* benches are the perf-gate's pinned hot
 // paths: schedule/fire, schedule/cancel churn at three dead fractions,
-// clone, clone+truncate-to-64B and parse. scripts/bench.sh runs them
-// with `--json <path>` (translated below into google-benchmark's JSON
-// reporter) and bench/perf_gate folds the numbers into BENCH_*.json.
+// clone, clone+truncate-to-64B and parse; so are the RoCE frame path
+// (BM_BuildRoceWrite, BM_ParseRocePacket) and the CRC rows. A parsed
+// RoCE payload is a slice of its frame, so BM_ParseRocePacket copies no
+// payload bytes; BM_BuildRoceWrite is one allocation and one payload
+// copy per frame. scripts/bench.sh runs them with `--json <path>`
+// (translated below into google-benchmark's JSON reporter) and
+// bench/perf_gate folds the numbers into BENCH_*.json.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -39,7 +43,7 @@ void BM_BuildRoceWrite(benchmark::State& state) {
   msg.bth.opcode = roce::Opcode::kRdmaWriteOnly;
   msg.reth = roce::Reth{0x1000, 0xaa,
                         static_cast<std::uint32_t>(payload.size())};
-  msg.payload = payload;
+  msg.payload = net::ByteSlice::copy_of(payload);
   for (auto _ : state) {
     auto frame = roce::build_roce_packet(ep(1), ep(2), msg);
     benchmark::DoNotOptimize(frame);

@@ -14,8 +14,9 @@
 // pinned BENCH numbers record the host's core count in the "sweep"
 // header. On a shared host one wall-clock pair swings with the
 // neighbours' load, so the speedup verdict takes the median ratio of
-// kPairs interleaved serial / 8-worker runs. perf-gate improvements never fail, so rows pinned on a small
-// host stay safe when CI runs on a larger one.
+// kPairs interleaved serial / 8-worker runs. perf-gate improvements
+// never fail, so rows pinned on a small host stay safe when CI runs on
+// a larger one.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -154,7 +155,9 @@ int main(int argc, char** argv) {
   for (const double r : ratios) std::printf(" %.2fx", r);
   std::printf(" (median %.2fx)\n", speedup8);
   std::uint64_t total_events = 0;
-  for (const ReplicaDigest& d : points.front().digests) total_events += d.events;
+  for (const ReplicaDigest& d : points.front().digests) {
+    total_events += d.events;
+  }
 
   results.set_sweep_info(
       sim::par::resolve_jobs(bench::parse_jobs(argc, argv)), cores);

@@ -34,7 +34,7 @@ std::size_t frame_bytes(roce::Opcode op, std::size_t payload,
   if (roce::has_aeth(op)) msg.aeth = roce::Aeth{};
   if (roce::has_atomic_ack_eth(op)) msg.atomic_ack = roce::AtomicAckEth{};
   msg.payload.assign(payload, 0x5a);
-  return roce::build_roce_packet(ep(1), ep(2), std::move(msg), version).size();
+  return roce::build_roce_packet(ep(1), ep(2), msg, version).size();
 }
 
 }  // namespace

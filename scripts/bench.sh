@@ -27,9 +27,11 @@ TOLERANCE=${BENCH_TOLERANCE:-0.10}
 FAIL_FACTOR=${BENCH_FAIL_FACTOR:-2.0}
 GATE="$BUILD/bench/perf_gate"
 # The m1 subset pinned by the perf gate: event-engine and packet hot
-# paths, and the CRC-32 / ICRC rows (a host where net::crc32 falls back
-# to the table path reads ~5x slower there and fails the gate).
-M1_FILTER='EventQueueScheduleFire|EventQueueCancelChurn|PacketClone|PacketCloneTruncate64|BM_ParsePacket|BM_Crc32|BM_ComputeIcrc'
+# paths, the CRC-32 / ICRC rows (a host where net::crc32 falls back to
+# the table path reads ~5x slower there and fails the gate) and the RoCE
+# frame build/parse rows (a payload copy or a per-byte header write
+# creeping back into the frame path shows there).
+M1_FILTER='EventQueueScheduleFire|EventQueueCancelChurn|PacketClone|PacketCloneTruncate64|BM_ParsePacket|BM_Crc32|BM_ComputeIcrc|BM_BuildRoceWrite|BM_ParseRocePacket'
 
 mode=run
 tag=post

@@ -272,13 +272,15 @@ void LookupTablePrimitive::handle_response(std::size_t shard,
     net::ByteReader r(msg.payload);
     const Action action = Action::parse(r);
     const std::uint64_t stored_check = r.u64();
-    if (bounce) packet = unwrap_frame(msg.payload, kLenOffset);
+    if (bounce) packet = RdmaChannel::unwrap_frame(msg.payload, kLenOffset);
     if (action.kind == Action::Kind::kNone) {
       ++stats_.no_entry_drops;  // empty slot: no entry installed
       // The packet is at hand either way, so the absence of its key can
       // itself be cached.
       if (fill && cache_.enabled() && config_.negative_ttl > 0) {
-        if (auto key = config_.key_fn(packet)) cache_store_negative(*key, shard);
+        if (auto key = config_.key_fn(packet)) {
+          cache_store_negative(*key, shard);
+        }
       }
       return;
     }

@@ -224,7 +224,7 @@ void PacketBufferPrimitive::handle_response(std::size_t channel_index,
     // Decapsulate [u32 len][frame] back into the original packet: a
     // view of the response frame's bytes, not a copy.
     try {
-      net::Packet packet = unwrap_frame(msg.payload, 0);
+      net::Packet packet = RdmaChannel::unwrap_frame(msg.payload, 0);
       packet.meta().from_remote_buffer = true;
       reorder_.emplace(slot, std::move(packet));
     } catch (const net::BufferError&) {

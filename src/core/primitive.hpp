@@ -1,7 +1,6 @@
 // Shared plumbing for the three remote-memory primitives.
 #pragma once
 
-#include "net/bytes.hpp"
 #include "roce/packet.hpp"
 #include "switchsim/pipeline.hpp"
 
@@ -16,21 +15,11 @@ namespace xmem::core {
     switchsim::PipelineContext& ctx) {
   if (!ctx.roce_parsed) {
     ctx.roce_parsed = true;
-    if (ctx.headers) ctx.roce = roce::parse_roce_packet(ctx.packet, *ctx.headers);
+    if (ctx.headers) {
+      ctx.roce = roce::parse_roce_packet(ctx.packet, *ctx.headers);
+    }
   }
   return ctx.roce ? &*ctx.roce : nullptr;
-}
-
-/// The frame of the `[u32 len][frame]` record (RdmaChannel::post_frame)
-/// at `offset` in `bytes`, as a packet sharing their storage with fresh
-/// metadata: nothing of the carrying frame is inherited. Throws
-/// net::BufferError when the record overruns `bytes`.
-[[nodiscard]] inline net::Packet unwrap_frame(const net::ByteSlice& bytes,
-                                              std::size_t offset) {
-  net::ByteReader r(bytes.bytes());
-  r.skip(offset);
-  const std::uint32_t len = r.u32();
-  return net::Packet(bytes.slice(r.position(), len));
 }
 
 }  // namespace xmem::core

@@ -145,8 +145,9 @@ void RdmaChannel::trace_annotate(roce::Psn psn, std::string_view key,
   if (tracer_ != nullptr) tracer_->annotate(track_, psn, key, value);
 }
 
-void RdmaChannel::inject(const RoceMessage& msg,
-                         std::span<const std::span<const std::uint8_t>> payload) {
+void RdmaChannel::inject(
+    const RoceMessage& msg,
+    std::span<const std::span<const std::uint8_t>> payload) {
   net::Packet frame =
       roce::build_roce_packet(config_.local, config_.remote, msg, payload);
   if (!cc_ || !cc_->in_recovery()) {
@@ -217,6 +218,14 @@ roce::Psn RdmaChannel::post_frame(std::uint64_t va,
   return post_gathered(va, length_prefix(frame.size()), frame, ack_req);
 }
 
+net::Packet RdmaChannel::unwrap_frame(const net::ByteSlice& bytes,
+                                      std::size_t offset) {
+  net::ByteReader r(bytes.bytes());
+  r.skip(offset);
+  const std::uint32_t len = r.u32();
+  return net::Packet(bytes.slice(r.position(), len));
+}
+
 roce::Psn RdmaChannel::post_gathered(std::uint64_t va,
                                      std::span<const std::uint8_t> prefix,
                                      std::span<const std::uint8_t> payload,
@@ -253,7 +262,8 @@ std::size_t RdmaChannel::send_write(std::uint64_t va,
         request(op, roce::psn_add(first_psn, static_cast<std::uint32_t>(i)));
     msg.bth.ack_req = ack_req && last;
     if (first) {
-      msg.reth = roce::Reth{va, config_.rkey, static_cast<std::uint32_t>(total)};
+      msg.reth =
+          roce::Reth{va, config_.rkey, static_cast<std::uint32_t>(total)};
     }
     // This segment's bytes [offset, offset + chunk) of prefix ++ payload.
     const std::size_t offset = i * mtu;

@@ -83,6 +83,12 @@ class RdmaChannel {
   /// are the only copy made.
   roce::Psn post_frame(std::uint64_t va, std::span<const std::uint8_t> frame,
                        bool ack_req);
+  /// The frame of the post_frame() record at `offset` in `bytes` (a READ
+  /// response payload), as a packet sharing their storage with fresh
+  /// metadata: nothing of the carrying frame is inherited. Throws
+  /// net::BufferError when the record overruns `bytes`.
+  [[nodiscard]] static net::Packet unwrap_frame(const net::ByteSlice& bytes,
+                                                std::size_t offset);
 
   /// Craft and inject an RDMA READ request for [va, va+len).
   /// Returns the PSN of the request; the response's first packet carries

@@ -50,13 +50,10 @@ struct PacketMeta {
 /// than it.
 class ByteSlice {
  public:
-  using value_type = std::uint8_t;
-  using const_iterator = const std::uint8_t*;
-  using iterator = const_iterator;
-
   ByteSlice() = default;
   /// Adopts the vector's buffer as the storage: no copy.
-  ByteSlice(std::vector<std::uint8_t> bytes)  // NOLINT(google-explicit-constructor)
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  ByteSlice(std::vector<std::uint8_t> bytes)
       : size_(checked_size(bytes.size())) {
     if (bytes.empty()) return;
     auto owner = std::make_shared<std::vector<std::uint8_t>>(std::move(bytes));
@@ -85,8 +82,8 @@ class ByteSlice {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] const std::uint8_t* data() const { return raw(); }
-  [[nodiscard]] const_iterator begin() const { return raw(); }
-  [[nodiscard]] const_iterator end() const { return raw() + size_; }
+  [[nodiscard]] const std::uint8_t* begin() const { return raw(); }
+  [[nodiscard]] const std::uint8_t* end() const { return raw() + size_; }
   [[nodiscard]] std::uint8_t operator[](std::size_t i) const {
     return raw()[i];
   }
