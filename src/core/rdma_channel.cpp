@@ -206,12 +206,6 @@ RoceMessage RdmaChannel::request(Opcode op, roce::Psn psn) const {
   return msg;
 }
 
-roce::Psn RdmaChannel::post_write(std::uint64_t va,
-                                  std::span<const std::uint8_t> payload,
-                                  bool ack_req) {
-  return post_gathered(va, {}, payload, ack_req);
-}
-
 roce::Psn RdmaChannel::post_frame(std::uint64_t va,
                                   std::span<const std::uint8_t> frame,
                                   bool ack_req) {

@@ -76,7 +76,9 @@ class RdmaChannel {
   /// FIRST/MIDDLE/LAST exactly as an RNIC requester would.
   roce::Psn post_write(std::uint64_t va,
                        std::span<const std::uint8_t> payload,
-                       bool ack_req = false);
+                       bool ack_req = false) {
+    return post_gathered(va, {}, payload, ack_req);
+  }
   /// WRITE `frame` as a `[u32 len][frame]` record at `va`: the layout of
   /// a packet-buffer slot and of a lookup entry's deposit. The length
   /// and the frame are gathered straight into the request frames, which

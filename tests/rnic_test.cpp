@@ -343,6 +343,32 @@ TEST_F(ResponderTest, RxQueueOverflowDrops) {
   EXPECT_EQ(nic_->stats().atomics, depth + 1);
 }
 
+TEST_F(ResponderTest, KillMidServiceDropsTheRequestInService) {
+  // The request in service when the NIC dies completes as dead_dropped;
+  // the one still queued dies with the RX queue, uncounted.
+  for (std::uint32_t psn : {0u, 1u}) {
+    EXPECT_TRUE(nic_->handle_frame(roce::build_roce_packet(
+        peer_ep_, nic_ep_, fetch_add(psn, mr_->base_va(), 1))));
+  }
+  sim_.schedule_at(sim::nanoseconds(1), [this] { nic_->set_alive(false); });
+  sim_.run();
+  EXPECT_EQ(nic_->stats().dead_dropped, 1u);
+  EXPECT_EQ(nic_->stats().atomics, 0u);
+  EXPECT_TRUE(out_.empty());
+}
+
+TEST_F(ResponderTest, RestartMidServiceDropsTheRequestInService) {
+  // restart() destroys every QP: the request in service finds none.
+  EXPECT_TRUE(nic_->handle_frame(roce::build_roce_packet(
+      peer_ep_, nic_ep_, fetch_add(0, mr_->base_va(), 1))));
+  sim_.schedule_at(sim::nanoseconds(1), [this] { nic_->restart(); });
+  sim_.run();
+  EXPECT_EQ(nic_->stats().unknown_qp_dropped, 1u);
+  EXPECT_EQ(nic_->stats().atomics, 0u);
+  EXPECT_TRUE(nic_->alive());
+  EXPECT_TRUE(out_.empty());
+}
+
 TEST_F(ResponderTest, AtomicRateModelPacesService) {
   // Two atomics delivered back to back complete one atomic_overhead
   // apart (plus the 8-byte DMA cost).
